@@ -5,10 +5,9 @@ import json
 import os
 import time
 
-from common import CLI, Gate, mean, median, quantile, run_timed
+from common import CLI, BenchError, Gate, mean, median, quantile, run_timed
 
 JOBS = 4
-SETUP_REPS = 15
 MIN_INVOCATIONS = 8  # ettr_gap_pp reads the first 8 x 4 dense-month seeds
 
 
@@ -67,14 +66,12 @@ def invoke(w, tmp, base, jobs=JOBS, trace=None):
                       w["seeds"])
 
 
-def setup_seconds(w, tmp, seed):
-    walls = []
-    for k in range(SETUP_REPS):
-        done = run_timed(argv_for(w, tmp, base_seed(seed, k, w), 1, JOBS, days=0.001), tmp)
-        if done.code != 0:
-            raise RuntimeError("set-up invocation exited %d" % done.code)
-        walls.append(done.wall_s)
-    return median(walls)
+def setup_sample(w, tmp, base):
+    """Wall time of the same command at one seed and --days 0.001."""
+    done = run_timed(argv_for(w, tmp, base, 1, JOBS, days=0.001), tmp)
+    if done.code != 0:
+        raise BenchError("set-up invocation exited %d" % done.code)
+    return done.wall_s
 
 
 def add(gate, inv, seeds, what):
@@ -104,25 +101,31 @@ def ettr_gap_pp(invocations, w):
 
 
 def measure(w, tmp, seed, seconds):
-    """The untraced run: set-up, then campaigns back to back for `seconds`."""
+    """The untraced run: campaigns back to back for `seconds`, each followed
+    by one set-up sample. Interleaving spreads the set-up samples over the
+    whole run, so their median sees the same host as the campaigns do."""
     gate = Gate()
-    setup_s = setup_seconds(w, tmp, seed)
     invocations = []
+    setup = []
     start = time.perf_counter()
     while time.perf_counter() - start < seconds or len(invocations) < MIN_INVOCATIONS:
-        inv = invoke(w, tmp, base_seed(seed, len(invocations), w))
+        base = base_seed(seed, len(invocations), w)
+        inv = invoke(w, tmp, base)
+        setup.append(setup_sample(w, tmp, base))
         add(gate, inv, w["seeds"], "invocation %d" % len(invocations))
         if len(invocations) >= MIN_INVOCATIONS:
             inv.doc = None  # only the first few documents are read again
         invocations.append(inv)
     reference_checks(w, tmp, seed, invocations[0], gate)
 
+    # Throughput of the typical invocation: a neighbour's burst on a shared
+    # host stalls a few invocations, which a sum of walls would charge to
+    # the program. Quarantined seeds do not count as completed.
     walls = [inv.wall_s for inv in invocations]
-    completed = sum(w["seeds"] - inv.failed for inv in invocations)
+    per_invocation = sum(w["seeds"] - inv.failed for inv in invocations) / len(invocations)
     metrics = {
-        "seeds_per_s": completed / sum(walls),
-        "p50_ms": 1e3 * quantile(walls, 0.5),
-        "setup_s": setup_s,
+        "seeds_per_s": per_invocation / median(walls),
+        "setup_s": median(setup),
         "peak_rss_mb": median([inv.rss_mb for inv in invocations]),
     }
     report = {

@@ -103,10 +103,16 @@ def traced_daemon_run(w, tmp, seed, seconds, gate, rate, **extra):
     return client, Trace(path)
 
 
-def probe_layers(workload, w, tmp, base, seeds, element_bytes):
-    return run_json([PROBE, "layers", "--workload", workload, "--base-seed", str(base),
-                     "--seeds", str(seeds), "--days", str(w["days"]),
-                     "--element-bytes", str(int(element_bytes)), "--dir", tmp], tmp)
+def probe_layers(workload, w, tmp, base, seeds, element_bytes, gate):
+    """The probe's in-process replay of seeds base..base+seeds-1. A seed whose
+    run throws is quarantined there as in the CLI: a failed operation."""
+    probe = run_json([PROBE, "layers", "--workload", workload, "--base-seed", str(base),
+                      "--seeds", str(seeds), "--days", str(w["days"]),
+                      "--element-bytes", str(int(element_bytes)), "--dir", tmp], tmp)
+    quarantined = probe["quarantined"]
+    gate.record(seeds, len(quarantined), "probe replay quarantined " + "; ".join(
+        "seed %d (%s)" % (q["seed"], q["error"]) for q in quarantined) if quarantined else None)
+    return probe
 
 
 def probe_ctor(workload, w, tmp, base):
@@ -244,7 +250,7 @@ def measure_batch(workload, w, tmp, seed, seconds):
 
     base0 = batch.base_seed(seed, 0, w)
     element_bytes = len(json.dumps(first.doc["runs"][0], indent=2)) if first.doc else 1024
-    probe = probe_layers(workload, w, tmp, base0, w["seeds"], element_bytes)
+    probe = probe_layers(workload, w, tmp, base0, w["seeds"], element_bytes, gate)
     check_fidelity(probe, [first.doc] if first.doc else [], gate)
     ctor = probe_ctor(workload, w, tmp, base0)
 
@@ -281,7 +287,7 @@ def measure_serve(workload, w, tmp, seed, seconds):
 
     base = serve.pool_base(seed, w["pool"])
     element_bytes = mean([len(json.dumps(d["runs"][0], indent=2)) for d in docs]) or 1024
-    probe = probe_layers(workload, w, tmp, base, w["pool"], element_bytes)
+    probe = probe_layers(workload, w, tmp, base, w["pool"], element_bytes, gate)
     check_fidelity(probe, docs, gate)
     ctor = probe_ctor(workload, w, tmp, base)
 

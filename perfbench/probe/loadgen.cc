@@ -1,7 +1,7 @@
 // Open-loop load generator for `byterobust serve` (perfbench_probe loadgen).
 //
-//   perfbench_probe loadgen --socket PATH --rate R --seconds T --warmup W
-//                           --seed S --pool K --days D [--threads N]
+//   perfbench_probe loadgen --socket PATH --rate R --seconds T --seed S
+//                           --pool K --days D [--threads N]
 //                           [--op campaign|fleet] [--scenario NAME]
 //                           [--status-pct P]
 //
@@ -52,6 +52,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr double kSliceS = 0.25;
+// Requests due in the first kWarmupS seconds prime the daemon and are not
+// timed.
+constexpr double kWarmupS = 0.2;
 
 struct Request {
   bool status = false;
@@ -74,7 +77,6 @@ struct Options {
   std::string socket;
   double rate = 1000.0;
   double seconds = 1.0;
-  double warmup = 0.2;
   std::uint64_t seed = 1;
   int pool = 32;
   double days = 0.02;
@@ -203,8 +205,6 @@ bool ParseOptions(int argc, char** argv, Options* o) {
       o->rate = std::atof(v);
     } else if (flag == "--seconds") {
       o->seconds = std::atof(v);
-    } else if (flag == "--warmup") {
-      o->warmup = std::atof(v);
     } else if (flag == "--seed") {
       o->seed = std::strtoull(v, nullptr, 10);
     } else if (flag == "--pool") {
@@ -223,7 +223,7 @@ bool ParseOptions(int argc, char** argv, Options* o) {
       return false;
     }
   }
-  return !o->socket.empty() && o->rate >= 0.0 && o->seconds > o->warmup && o->warmup >= 0.0 &&
+  return !o->socket.empty() && o->rate >= 0.0 && o->seconds > kWarmupS &&
          o->pool >= 1 && o->threads >= 1 && o->threads <= 4 &&
          (o->op == "campaign" || o->op == "fleet") && o->status_pct >= 0 &&
          o->status_pct <= 100;
@@ -236,7 +236,7 @@ int LoadgenMain(int argc, char** argv) {
   if (!ParseOptions(argc, argv, &o)) {
     std::fprintf(stderr,
                  "usage: perfbench_probe loadgen --socket PATH --rate R --seconds T "
-                 "--warmup W --seed S --pool K --days D [--threads 1..4] "
+                 "--seed S --pool K --days D [--threads 1..4] "
                  "[--op campaign|fleet] [--scenario NAME] [--status-pct P]\n");
     return 2;
   }
@@ -271,7 +271,7 @@ int LoadgenMain(int argc, char** argv) {
   std::map<long, std::vector<double>> window_latency;
   std::map<long, std::vector<double>> window_lag;
   std::map<long, int> window_campaigns;
-  const long full_windows = static_cast<long>((o.seconds - o.warmup) / kSliceS);
+  const long full_windows = static_cast<long>((o.seconds - kWarmupS) / kSliceS);
   int failed = 0;
   int failed_total = 0;
   int campaigns_total = 0;
@@ -286,10 +286,10 @@ int LoadgenMain(int argc, char** argv) {
     if (!r.status) {
       rtt.push_back((r.done_s - r.send_s) * 1e3);  // every campaign, warm-up included
     }
-    if (r.due_s < o.warmup) {
+    if (r.due_s < kWarmupS) {
       continue;
     }
-    const long slice = static_cast<long>((r.due_s - o.warmup) / kSliceS);
+    const long slice = static_cast<long>((r.due_s - kWarmupS) / kSliceS);
     latency.push_back((r.done_s - r.due_s) * 1e3);
     window_latency[slice].push_back(latency.back());
     window_lag[slice].push_back((r.send_s - r.due_s) * 1e3);

@@ -8,7 +8,9 @@
 //       object: per-seed layer counts (deterministic for a given S), the
 //       per-run fields the CLI document also carries (so the caller can
 //       check the replay matches the CLI byte for byte in what it models),
-//       and host time per call of each layer probe at W's sizes.
+//       and host time per call of each layer probe at W's sizes. A seed
+//       whose run throws is listed under "quarantined" with its error and
+//       left out of the counts, the way the CLI quarantines it.
 //   perfbench_probe ctor    --workload W --base-seed S --days D
 //       Times the first (cold) and later (warm) Scenario / Fleet
 //       construction of this process.
@@ -35,9 +37,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <functional>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analyzer/aggregation.h"
@@ -186,7 +189,8 @@ FleetConfig FleetWorkloadConfig(const Args& args, std::uint64_t seed) {
   return cfg;
 }
 
-// Per-seed layer counts, summed over a seed's jobs.
+// Per-seed layer counts, summed over a seed's jobs (hang episodes and
+// replays also per job, to weight the per-job probe times).
 struct Counts {
   double events = 0;
   double steps = 0;
@@ -201,6 +205,8 @@ struct Counts {
   double preemptions = 0;
   double queued_claims = 0;
   double runs_rendered = 0;
+  std::vector<double> job_hang_episodes;
+  std::vector<double> job_replays;
 };
 
 // One job's fields as the CLI document prints them, for the fidelity check.
@@ -211,12 +217,17 @@ struct RunCheck {
   double ettr = 0.0;
 };
 
-void CountJob(ByteRobustSystem& sys, const Scenario& scenario, Counts* c,
+void CountJob(int job, ByteRobustSystem& sys, const Scenario& scenario, Counts* c,
               std::vector<RunCheck>* checks) {
   c->steps += static_cast<double>(sys.job().steps_completed());
   const auto& by_symptom = scenario.stats().injected_by_symptom;
   const auto hang = by_symptom.find(static_cast<int>(IncidentSymptom::kJobHang));
-  c->hang_episodes += hang == by_symptom.end() ? 0 : hang->second;
+  const double episodes = hang == by_symptom.end() ? 0 : hang->second;
+  c->hang_episodes += episodes;
+  const std::size_t jobs = std::max<std::size_t>(c->job_replays.size(), job + 1);
+  c->job_hang_episodes.resize(jobs);
+  c->job_replays.resize(jobs);
+  c->job_hang_episodes[job] += episodes;
   c->reports += static_cast<double>(sys.monitor().reports_emitted());
   c->resolutions += static_cast<double>(sys.controller().log().size());
   c->evictions += sys.controller().evictions_total();
@@ -224,7 +235,9 @@ void CountJob(ByteRobustSystem& sys, const Scenario& scenario, Counts* c,
   c->ckpt_saves += static_cast<double>(sys.ckpt().saves_started());
   for (const IncidentResolution& res : sys.controller().log().entries()) {
     c->analyzer_er += res.mechanism == ResolutionMechanism::kAnalyzerEvictRestart;
-    c->replays += res.mechanism == ResolutionMechanism::kDualPhaseReplay;
+    const bool replay = res.mechanism == ResolutionMechanism::kDualPhaseReplay;
+    c->replays += replay;
+    c->job_replays[job] += replay;
   }
   c->runs_rendered += 1;
   RunCheck check;
@@ -245,7 +258,7 @@ double RunSeed(const Args& args, std::uint64_t seed, Counts* c, std::vector<RunC
     const double ms = MsSince(t0);
     c->events += static_cast<double>(fleet.sim().events_dispatched());
     for (int j = 0; j < fleet.num_jobs(); ++j) {
-      CountJob(fleet.system(j), fleet.scenario(j), c, checks);
+      CountJob(j, fleet.system(j), fleet.scenario(j), c, checks);
     }
     c->preemptions += fleet.arbiter().preemptions_total();
     c->queued_claims += fleet.arbiter().queued_claims_total();
@@ -255,7 +268,7 @@ double RunSeed(const Args& args, std::uint64_t seed, Counts* c, std::vector<RunC
   scenario.Run();
   const double ms = MsSince(t0);
   c->events += static_cast<double>(scenario.system().sim().events_dispatched());
-  CountJob(scenario.system(), scenario, c, checks);
+  CountJob(0, scenario.system(), scenario, c, checks);
   return ms;
 }
 
@@ -406,31 +419,80 @@ double JournalCommitUs(const Args& args) {
   return ms * 1e3;
 }
 
+// Mean of per-job probe times weighted by how often each job makes the call;
+// the plain mean when no job does.
+double WeightedMean(const std::vector<double>& per_call, const std::vector<double>& calls) {
+  double sum = 0.0;
+  double weight = 0.0;
+  for (std::size_t j = 0; j < per_call.size(); ++j) {
+    const double w = j < calls.size() ? calls[j] : 0.0;
+    sum += w * per_call[j];
+    weight += w;
+  }
+  if (weight > 0.0) {
+    return sum / weight;
+  }
+  for (const double x : per_call) {
+    sum += x;
+  }
+  return per_call.empty() ? 0.0 : sum / static_cast<double>(per_call.size());
+}
+
+std::string JsonEscape(const std::string& text) {
+  std::string out;
+  for (const char ch : text) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      out += ' ';
+    } else {
+      out += ch;
+    }
+  }
+  return out;
+}
+
 int CmdLayers(const Args& args) {
   Counts total;
   std::vector<RunCheck> checks;
   std::vector<double> seed_ms;
+  std::vector<std::pair<std::uint64_t, std::string>> quarantined;
   for (int i = 0; i < args.seeds; ++i) {
-    seed_ms.push_back(RunSeed(args, args.base_seed + static_cast<std::uint64_t>(i), &total,
-                              &checks));
+    const std::uint64_t seed = args.base_seed + static_cast<std::uint64_t>(i);
+    const Counts before = total;
+    const std::size_t checked = checks.size();
+    try {
+      seed_ms.push_back(RunSeed(args, seed, &total, &checks));
+    } catch (const std::exception& e) {
+      total = before;
+      checks.resize(checked);
+      quarantined.emplace_back(seed, e.what());
+    }
   }
-  const double k = static_cast<double>(args.seeds);
+  const double k = static_cast<double>(std::max<std::size_t>(1, seed_ms.size()));
 
   // Hang analysis and replay at each job's topology, weighted by where the
-  // episodes happen (fleet jobs differ in size).
+  // episodes and replays happen (fleet jobs differ in size).
   const std::vector<SystemConfig> systems = JobSystems(args);
-  double analyze_ms = 0.0;
-  double locate_ms = 0.0;
+  std::vector<double> analyze_ms;
+  std::vector<double> locate_ms;
   double step_ns = 0.0;
   for (const SystemConfig& system : systems) {
     const Topology topology(system.job.parallelism);
-    analyze_ms += HangAnalyzeMs(topology);
-    locate_ms += ReplayLocateMs(system.job.parallelism);
+    analyze_ms.push_back(HangAnalyzeMs(topology));
+    locate_ms.push_back(ReplayLocateMs(system.job.parallelism));
     step_ns += HealthyStepNs(system);
   }
   const double jobs = static_cast<double>(systems.size());
 
-  std::printf("{\"seeds\":%d,\"counts\":{", args.seeds);
+  std::printf("{\"seeds\":%d,\"quarantined\":[", args.seeds);
+  for (std::size_t i = 0; i < quarantined.size(); ++i) {
+    std::printf("%s{\"seed\":%llu,\"error\":\"%s\"}", i == 0 ? "" : ",",
+                static_cast<unsigned long long>(quarantined[i].first),
+                JsonEscape(quarantined[i].second).c_str());
+  }
+  std::printf("],\"counts\":{");
   std::printf("\"sim.events\":%.17g,\"training.steps\":%.17g,\"hang.episodes\":%.17g,",
               total.events / k, total.steps / k, total.hang_episodes / k);
   std::printf("\"monitor.reports\":%.17g,\"controller.resolutions\":%.17g,", total.reports / k,
@@ -442,9 +504,9 @@ int CmdLayers(const Args& args) {
   std::printf("\"fleet.preemptions\":%.17g,\"fleet.queued_claims\":%.17g,\"runs_rendered\":%.17g},",
               total.preemptions / k, total.queued_claims / k, total.runs_rendered / k);
   std::printf("\"times\":{\"seed.inproc_ms\":%.6f,\"hang.analyze_ms\":%.6f,", Median(seed_ms),
-              analyze_ms / jobs);
+              WeightedMean(analyze_ms, total.job_hang_episodes));
   std::printf("\"replay.locate_ms\":%.6f,\"training.ns_per_healthy_step\":%.6f,",
-              locate_ms / jobs, step_ns / jobs);
+              WeightedMean(locate_ms, total.job_replays), step_ns / jobs);
   std::printf("\"sim.bare_event_ns\":%.6f,\"campaign.render_us\":%.6f,", BareEventNs(),
               RenderUs(args));
   std::printf("\"harness.journal_commit_us\":%.6f},\"runs\":[", JournalCommitUs(args));

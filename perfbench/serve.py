@@ -9,7 +9,6 @@ SETUP_REPS = 7
 # A trial "ran late" when the generator, not the daemon, delayed sends by
 # more than this at p90; such a trial says nothing about the daemon.
 GEN_LATE_LIMIT_MS = 0.25 * LATENCY_LIMIT_MS
-WARMUP_S = 0.2
 SEARCH_START = 3000.0
 SEARCH_STEP = 1.25
 SEARCH_BISECTIONS = 3
@@ -50,7 +49,7 @@ def loadgen(w, tmp, daemon, rate, seconds, seed, **extra):
     flags = {"pool": w.get("pool", 32), "days": w["days"]}
     flags.update(extra)
     argv = [PROBE, "loadgen", "--socket", daemon.socket, "--rate", "%g" % rate,
-            "--seconds", "%g" % seconds, "--warmup", "%g" % WARMUP_S, "--seed", str(seed)]
+            "--seconds", "%g" % seconds, "--seed", str(seed)]
     for flag, value in flags.items():
         argv += ["--" + flag.replace("_", "-"), str(value)]
     return run_json(argv, tmp, timeout=seconds + 60.0)
@@ -136,7 +135,6 @@ def measure(w, tmp, seed, seconds):
     check_bodies(gate, w, tmp)
     metrics = {
         "seeds_per_s": campaigns / cpu_s,
-        "p50_ms": median(slices[(3000, "slice_p50_ms")]),
         "setup_s": setup_s,
         "peak_rss_mb": daemon.rss_mb,
     }
