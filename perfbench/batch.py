@@ -1,4 +1,4 @@
-"""The batch workloads (dense-month, fleet-mixed): repeated CLI campaigns."""
+"""The batch workloads (dense-month, quickstart-journal, fleet-mixed): repeated CLI campaigns."""
 
 import hashlib
 import json

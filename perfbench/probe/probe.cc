@@ -136,10 +136,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     return false;
   }
   const bool known = args->workload == "dense-month" || args->workload == "fleet-mixed" ||
-                     args->workload == "serve-mixed";
+                     args->workload == "quickstart-journal" || args->workload == "serve-mixed";
   if (!known || args->seeds < 1 || args->days <= 0.0) {
     std::fprintf(stderr, "perfbench_probe: need --workload dense-month|fleet-mixed|"
-                         "serve-mixed, --seeds >= 1 and --days > 0\n");
+                         "quickstart-journal|serve-mixed, --seeds >= 1 and --days > 0\n");
     return false;
   }
   return true;

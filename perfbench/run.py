@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """The repository benchmark: campaign throughput, serve latency and a
-per-layer seed budget over dense-month, fleet-mixed and serve-mixed.
+per-layer seed budget over dense-month, quickstart-journal, fleet-mixed and
+serve-mixed.
 
-    python3 perfbench/run.py --workload dense-month --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload dense-month --seed 1 --seconds 45 --trace 0
 
 Builds the CLI and perfbench_probe from this checkout into .bench_build/,
 runs the workload for --seconds, checks the outputs (see the gates in

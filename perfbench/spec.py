@@ -35,6 +35,17 @@ WORKLOADS = {
                "cluster views, arbiter and the per-seed harness path (attempt, journal "
                "commit, spill/merge) carry the load.",
     },
+    "quickstart-journal": {
+        "kind": "batch",
+        "command": "campaign",
+        "scenario": "quickstart",
+        "days": 0.5,
+        "seeds": 256,         # many short seeds
+        "journal": True,
+        "why": "Many short journaled seeds of the 16-machine quickstart job (the serve "
+               "requests' scenario): event core, step loop and the per-seed harness path "
+               "(attempt, journal commit, spill/merge) carry the load.",
+    },
     "serve-mixed": {
         "kind": "serve",
         "scenario": "quickstart",
@@ -47,12 +58,18 @@ WORKLOADS = {
     },
 }
 
-# The workloads BENCHMARK.json gates on. serve-mixed runs and reports like
-# the others, but on a shared 4-vCPU VM its latency moved by about 20%
-# (interquartile range over median) between runs with the neighbours' load,
-# too close to any usable bound; its serve layer is still measured on the
-# batch workloads' traced runs.
-GATED = ("dense-month", "fleet-mixed")
+# The workloads BENCHMARK.json gates on: workloads on which no operation
+# fails. fleet-mixed runs and reports like the others, but about 1 in 7,000
+# of its seeds fails every attempt ("replacement machine already in
+# service", src/cluster/cluster.cc) and is quarantined, so its runs count
+# failed operations; it stays runnable, and its traced run is where the
+# fleet layer is measured. quickstart-journal carries the per-seed harness
+# path in its place. serve-mixed runs and reports like the others, but on a
+# shared 4-vCPU VM its throughput moved by 13-40% (interquartile range over
+# median, five seeds) with the neighbours' load, too close to any usable
+# bound; its serve layer is still measured on the batch workloads' traced
+# runs.
+GATED = ("dense-month", "quickstart-journal")
 
 # End-to-end metrics. BENCHMARK.json reports every one of them on every
 # workload, so each is defined for batch and serve alike.
@@ -77,16 +94,16 @@ END_TO_END = [
 # it at that workload's sizes (probes, and a short serve run of the
 # workload's own seeds), and the prediction there is "no change".
 LAYERS = [
-    ("sim", "seeds_per_s", "fleet-mixed", "serve-mixed", [
+    ("sim", "seeds_per_s", "fleet-mixed,quickstart-journal", "serve-mixed", [
         ("sim.events", "count", "lower"),
         ("sim.ns_per_event", "ns", "lower"),
         ("sim.bare_event_ns", "ns", "lower"),
     ]),
-    ("training,metrics", "seeds_per_s", "dense-month", "serve-mixed", [
+    ("training,metrics", "seeds_per_s", "dense-month,quickstart-journal", "serve-mixed", [
         ("training.steps", "count", "lower"),
         ("training.ns_per_healthy_step", "ns", "lower"),
     ]),
-    ("tracer,analyzer", "seeds_per_s", "dense-month", "fleet-mixed", [
+    ("tracer,analyzer", "seeds_per_s", "dense-month", "fleet-mixed,quickstart-journal", [
         ("hang.episodes", "count", "lower"),
         ("hang.analyze_ms", "ms", "lower"),
         ("hang.evict_yield", "ratio", "higher"),
@@ -112,19 +129,21 @@ LAYERS = [
         ("fleet.preemptions", "count", "lower"),
         ("fleet.queued_claims", "count", "lower"),
     ]),
-    ("campaign", "seeds_per_s,req_p50_ms.*", "fleet-mixed,serve-mixed", "dense-month", [
+    ("campaign", "seeds_per_s,req_p50_ms.*", "quickstart-journal,fleet-mixed,serve-mixed",
+     "dense-month", [
         ("campaign.seed_ms.p50", "ms", "lower"),
         ("campaign.seed_ms.p90", "ms", "lower"),
         ("campaign.parallel_eff", "ratio", "higher"),
         ("campaign.render_us", "us", "lower"),
     ]),
-    ("harness", "seeds_per_s,fail_ratio", "fleet-mixed", "dense-month", [
+    ("harness", "seeds_per_s,fail_ratio", "quickstart-journal,fleet-mixed", "dense-month", [
         ("harness.attempts_per_seed", "ratio", "lower"),
         ("harness.retries", "count", "lower"),
         ("harness.quarantines", "count", "lower"),
         ("harness.journal_commit_us", "us", "lower"),
     ]),
-    ("serve", "req_p50_ms.*,req_p90_ms.*,max_rps", "serve-mixed", "dense-month,fleet-mixed", [
+    ("serve", "req_p50_ms.*,req_p90_ms.*,max_rps", "serve-mixed",
+     "dense-month,quickstart-journal,fleet-mixed", [
         ("serve.admit_us", "us", "lower"),
         ("serve.queue_wait_ms", "ms", "lower"),
         ("serve.execute_ms", "ms", "lower"),
