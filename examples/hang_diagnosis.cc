@@ -47,11 +47,17 @@ int main() {
   const AggregationResult result = analyzer.Analyze(stacks, topo);
   std::printf("stack aggregation groups (dominant = healthy):\n");
   for (const StackGroup& group : result.groups) {
-    std::printf("--- group of %zu ranks on machines [", group.ranks.size());
-    for (std::size_t i = 0; i < group.machines.size(); ++i) {
-      std::printf("%s%d", i ? "," : "", group.machines[i]);
+    std::printf("--- group of %zu ranks ", group.size);
+    if (group.complement) {
+      std::printf("(every rank not listed in another group)");
+    } else {
+      std::printf("on machines [");
+      for (std::size_t i = 0; i < group.machines.size(); ++i) {
+        std::printf("%s%d", i ? "," : "", group.machines[i]);
+      }
+      std::printf("]");
     }
-    std::printf("] %s\n%s", group.healthy ? "(healthy)" : "(OUTLIER)",
+    std::printf(" %s\n%s", group.healthy ? "(healthy)" : "(OUTLIER)",
                 group.representative.ToString().c_str());
   }
 

@@ -1,105 +1,100 @@
 #include "src/analyzer/aggregation.h"
 
 #include <algorithm>
-#include <cstddef>
-#include <set>
-#include <unordered_map>
-
-#include "src/tracer/stack_synth.h"
 
 namespace byterobust {
 
 namespace {
 
-// FNV-1a over (kind, shared-storage identity). Stacks are shared-immutable
-// copies of a handful of canned patterns, so hashing the storage pointer is
-// O(1) per stack instead of re-hashing every frame string. This makes
-// grouping identity-based: structurally equal traces built as separate
-// objects would form separate groups (see StackTrace::identity()), so every
-// producer must intern its patterns — all of stack_synth.cc's builders do.
-// Group *order* is first-encounter order followed by a deterministic
-// (size, key) sort, so the result never depends on the hash values
-// themselves. The pointer mix below is the one BR-POINTER-ORDER suppression
-// in tools/determinism_lint_allow.txt — keep this invariant if you touch it.
-std::size_t HashStack(ProcessKind kind, const StackTrace& stack) {
-  std::size_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::size_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::size_t>(kind));
-  mix(reinterpret_cast<std::size_t>(stack.identity()));
-  return h;
+// Machines hosting a `kind` process that no group of the snapshot lists: the
+// members of that kind's complement group. O(ranks), so only an outlier
+// complement group asks for it — a degenerate case where listed stacks
+// outnumber the dominant one.
+std::vector<MachineId> ComplementMachines(const PodStackSnapshot& snapshot, ProcessKind kind,
+                                          const Topology& topology) {
+  std::vector<bool> listed(static_cast<std::size_t>(topology.world_size()), false);
+  for (const StackSnapshotGroup& g : snapshot.groups()) {
+    if (g.kind == kind) {
+      for (Rank r : g.ranks) {
+        listed[static_cast<std::size_t>(r)] = true;
+      }
+    }
+  }
+  std::vector<MachineId> machines;
+  for (Rank r = 0; r < topology.world_size(); ++r) {
+    const MachineId m = topology.MachineOfRank(r);
+    if (!listed[static_cast<std::size_t>(r)] && (machines.empty() || machines.back() != m)) {
+      machines.push_back(m);  // ranks ascend, so machines do too
+    }
+  }
+  return machines;
 }
 
 }  // namespace
 
-AggregationResult AggregationAnalyzer::Analyze(const std::vector<ProcessStack>& stacks,
+AggregationResult AggregationAnalyzer::Analyze(const PodStackSnapshot& snapshot,
                                                const Topology& topology) const {
   AggregationResult result;
-  if (stacks.empty()) {
-    return result;
-  }
 
-  // Step 2: group stacks by exact (kind, frames) identity. Subprocess stacks
-  // participate too; a wedged dataloader on one machine forms its own
-  // singleton group. Hash buckets hold indices into `result.groups`;
-  // collisions fall back to structural comparison against the
-  // representative.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> buckets;
-  buckets.reserve(stacks.size() * 2);
-  std::vector<ProcessKind> group_kinds;
-  for (const ProcessStack& ps : stacks) {
-    const std::size_t h = HashStack(ps.kind, ps.stack);
-    std::vector<std::size_t>& bucket = buckets[h];
-    StackGroup* group = nullptr;
-    for (std::size_t idx : bucket) {
-      if (group_kinds[idx] == ps.kind && result.groups[idx].representative == ps.stack) {
-        group = &result.groups[idx];
-        break;
+  // Step 2: the snapshot is already grouped by exact (kind, frames) match.
+  // Subprocess stacks participate too; a wedged dataloader on one machine
+  // forms its own singleton group. A complement group holds what its kind's
+  // listed groups leave of the world.
+  for (const StackSnapshotGroup& g : snapshot.groups()) {
+    std::size_t size = g.ranks.size();
+    if (g.complement) {
+      size = static_cast<std::size_t>(topology.world_size());
+      for (const StackSnapshotGroup& other : snapshot.groups()) {
+        if (other.kind == g.kind) {
+          size -= other.ranks.size();
+        }
       }
     }
-    if (group == nullptr) {
-      bucket.push_back(result.groups.size());
-      group_kinds.push_back(ps.kind);
-      result.groups.emplace_back();
-      group = &result.groups.back();
-      group->representative = ps.stack;
+    if (size == 0) {
+      continue;  // every process of the kind is listed elsewhere
     }
-    group->ranks.push_back(ps.rank);
-    group->machines.push_back(ps.machine);
-  }
-
-  for (std::size_t i = 0; i < result.groups.size(); ++i) {
-    StackGroup& group = result.groups[i];
-    group.key = std::string(ProcessKindName(group_kinds[i])) + "|" + group.representative.Key();
+    StackGroup& group = result.groups.emplace_back();
+    group.kind = g.kind;
+    group.key = std::string(ProcessKindName(g.kind)) + "|" + g.stack.Key();
+    group.representative = g.stack;
+    group.size = size;
+    group.complement = g.complement;
+    group.ranks = g.ranks;
+    for (Rank r : g.ranks) {
+      group.machines.push_back(topology.MachineOfRank(r));
+    }
     std::sort(group.machines.begin(), group.machines.end());
     group.machines.erase(std::unique(group.machines.begin(), group.machines.end()),
                          group.machines.end());
   }
+  if (result.groups.empty()) {
+    return result;
+  }
   std::sort(result.groups.begin(), result.groups.end(),
             [](const StackGroup& a, const StackGroup& b) {
-              if (a.ranks.size() != b.ranks.size()) {
-                return a.ranks.size() > b.ranks.size();
+              if (a.size != b.size) {
+                return a.size > b.size;
               }
               return a.key < b.key;  // deterministic tie-break
             });
 
   // Dominant groups are healthy; subprocess groups covering every machine
-  // (idle loaders/writers) are dominant by construction.
-  const std::size_t max_size = result.groups.front().ranks.size();
-  std::set<MachineId> outliers;
-  std::set<MachineId> healthy_machines;
+  // (idle loaders/writers) are dominant by construction. A machine is an
+  // outlier if *any* of its processes shows an outlier stack, even if other
+  // processes on it look healthy.
+  const std::size_t max_size = result.groups.front().size;
+  std::vector<MachineId>& outliers = result.outlier_machines;
   for (StackGroup& g : result.groups) {
-    g.healthy = static_cast<double>(g.ranks.size()) >=
+    g.healthy = static_cast<double>(g.size) >=
                 config_.dominant_fraction * static_cast<double>(max_size);
-    for (MachineId m : g.machines) {
-      (g.healthy ? healthy_machines : outliers).insert(m);
+    if (!g.healthy) {
+      const std::vector<MachineId> machines =
+          g.complement ? ComplementMachines(snapshot, g.kind, topology) : g.machines;
+      outliers.insert(outliers.end(), machines.begin(), machines.end());
     }
   }
-  // A machine is an outlier if *any* of its processes shows an outlier stack,
-  // even if other processes on it look healthy.
-  result.outlier_machines.assign(outliers.begin(), outliers.end());
+  std::sort(outliers.begin(), outliers.end());
+  outliers.erase(std::unique(outliers.begin(), outliers.end()), outliers.end());
   if (result.outlier_machines.empty()) {
     return result;
   }
@@ -138,51 +133,6 @@ bool FailSlowVoter::Decide(GroupKind* kind, int* index) const {
   *kind = static_cast<GroupKind>(best->first.first);
   *index = best->first.second;
   return true;
-}
-
-const AggregationResult& FailSlowVoteCache::Round(const AggregationAnalyzer& analyzer,
-                                                  const Topology& topology,
-                                                  MachineId slow_machine,
-                                                  std::uint64_t round_seed) {
-  MachineId noisy = FailSlowNoiseMachine(round_seed, topology.num_machines());
-  if (noisy == slow_machine) {
-    noisy = -1;  // jitter on the laggard itself changes nothing
-  }
-  const std::pair<MachineId, MachineId> key{slow_machine, noisy};
-  const auto it = results_.find(key);
-  if (it != results_.end()) {
-    return it->second;
-  }
-  if (pod_slow_ != slow_machine) {
-    // One synthesis per distinct slow machine: the noise-free round (built
-    // directly so no jitter draw is involved).
-    pod_.clear();
-    pod_.reserve(static_cast<std::size_t>(topology.world_size()));
-    for (Rank r = 0; r < topology.world_size(); ++r) {
-      ProcessStack ps;
-      ps.rank = r;
-      ps.machine = topology.MachineOfRank(r);
-      ps.kind = ProcessKind::kTrainer;
-      ps.stack = ps.machine == slow_machine ? ComputeKernelStack() : HealthyGradSyncStack();
-      pod_.push_back(std::move(ps));
-    }
-    pod_slow_ = slow_machine;
-  }
-  AggregationResult result;
-  if (noisy < 0) {
-    result = analyzer.Analyze(pod_, topology);
-  } else {
-    // Patch only the noisy machine's ranks; stacks stay interned, so the
-    // aggregation sees storage-identical frames to a fresh synthesis.
-    std::vector<ProcessStack> round_pod = pod_;
-    for (ProcessStack& ps : round_pod) {
-      if (ps.machine == noisy) {
-        ps.stack = ComputeKernelStack();
-      }
-    }
-    result = analyzer.Analyze(round_pod, topology);
-  }
-  return results_.emplace(key, std::move(result)).first->second;
 }
 
 }  // namespace byterobust

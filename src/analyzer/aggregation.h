@@ -7,14 +7,18 @@
 // healthy, the rest are outliers; (3) the shared parallel group covering the
 // outlier machines is isolated and over-evicted.
 //
-// Grouping hashes (process kind, stack frames) directly instead of
-// concatenating a key string per stack; the canonical key string is built
-// once per distinct group, purely for reporting and deterministic ordering.
+// The input is a group-level PodStackSnapshot, so the analysis costs
+// O(groups + listed ranks): the dominant stack of each process kind arrives
+// as one complement group whose size is the world size minus the listed
+// ranks. Only a complement group that is itself an outlier (listed stacks
+// outnumbering the dominant one) has its machines enumerated. The canonical
+// key string is built once per group, for reporting and deterministic
+// ordering.
 
 #ifndef SRC_ANALYZER_AGGREGATION_H_
 #define SRC_ANALYZER_AGGREGATION_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <string>
 #include <utility>
@@ -33,10 +37,16 @@ struct AggregationConfig {
 
 // One aggregated stack group.
 struct StackGroup {
+  ProcessKind kind = ProcessKind::kTrainer;
   std::string key;
   StackTrace representative;
-  std::vector<Rank> ranks;
-  std::vector<MachineId> machines;  // deduplicated, sorted
+  std::size_t size = 0;  // processes in the group
+  // A complement group holds every process of its kind that the snapshot
+  // does not list elsewhere; its ranks (and their machines) are not spelled
+  // out.
+  bool complement = false;
+  std::vector<Rank> ranks;          // ascending; empty for a complement group
+  std::vector<MachineId> machines;  // machines of `ranks`, deduplicated, sorted
   bool healthy = false;
 };
 
@@ -57,8 +67,7 @@ class AggregationAnalyzer {
  public:
   explicit AggregationAnalyzer(const AggregationConfig& config = {}) : config_(config) {}
 
-  AggregationResult Analyze(const std::vector<ProcessStack>& stacks,
-                            const Topology& topology) const;
+  AggregationResult Analyze(const PodStackSnapshot& snapshot, const Topology& topology) const;
 
  private:
   AggregationConfig config_;
@@ -86,34 +95,6 @@ class FailSlowVoter {
   int rounds_needed_;
   int rounds_seen_ = 0;
   std::map<std::pair<int, int>, int> flags_;  // (kind, index) -> count
-};
-
-// Memoized fail-slow rounds. A voting round's snapshot is fully determined
-// by (slow machine, jitter machine): the pod stacks are a pure function of
-// that pair, so instead of re-synthesising and re-aggregating the full pod
-// every 10-second round, the cache keeps one synthesized base pod per slow
-// machine (patched in place when the round adds a noisy machine) and memoizes
-// each pair's AggregationResult for the controller's lifetime — the topology
-// never changes under a job. Round() returns exactly what
-// analyzer.Analyze(SynthesizeFailSlowStacks(topology, slow, seed), topology)
-// would (the stacks share the same interned storage), so voting decisions
-// are unchanged.
-//
-// Threading model: despite being a cache, this is *not* process-wide shared
-// state — each RobustController owns one instance, and a controller (with
-// its whole per-seed system stack) is confined to a single campaign worker
-// thread. It is deliberately unsynchronized; do not lift an instance into a
-// static or share it across systems without adding a Mutex and
-// BR_GUARDED_BY annotations (src/common/sync.h).
-class FailSlowVoteCache {
- public:
-  const AggregationResult& Round(const AggregationAnalyzer& analyzer, const Topology& topology,
-                                 MachineId slow_machine, std::uint64_t round_seed);
-
- private:
-  MachineId pod_slow_ = -2;          // slow machine the cached pod models
-  std::vector<ProcessStack> pod_;    // laggard = slow machine only
-  std::map<std::pair<MachineId, MachineId>, AggregationResult> results_;
 };
 
 }  // namespace byterobust

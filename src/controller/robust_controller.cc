@@ -299,7 +299,12 @@ void RobustController::EvictAndRestart(std::vector<MachineId> machines,
   std::vector<MachineId> replacements = standby_pool_->Claim(k);
   const int shortfall = k - static_cast<int>(replacements.size());
   for (int i = 0; i < shortfall; ++i) {
-    replacements.push_back(cluster_->AddMachine());  // reschedule path
+    // Reschedule path. Reserve the fresh machine (kStandbySleep keeps it out
+    // of IdleMachines()) so no standby pool adopts it before the deferred
+    // ReplaceSlot below installs it.
+    const MachineId fresh = cluster_->AddMachine();
+    cluster_->machine(fresh).set_state(MachineState::kStandbySleep);
+    replacements.push_back(fresh);
   }
 
   const int scale = cluster_->num_training_slots();
@@ -428,16 +433,14 @@ void RobustController::RunFailSlowVoting(int round, std::shared_ptr<FailSlowVote
         }
       }
     }
-    static const AggregationResult kCleanRound{};
-    const AggregationResult* result = &kCleanRound;
+    AggregationResult result;
     if (slow >= 0) {
-      // Memoized per (slow, jitter) pair: only the noisy machine changes
-      // between rounds, so the pod is synthesized once and repeated rounds
-      // skip the aggregation entirely (identical results either way).
-      result = &failslow_cache_.Round(analyzer_, job_->topology(), cluster_->SlotOfMachine(slow),
-                                      static_cast<std::uint64_t>(sim_->Now() + round));
+      result = analyzer_.Analyze(
+          SynthesizeFailSlowStacks(job_->topology(), cluster_->SlotOfMachine(slow),
+                                   static_cast<std::uint64_t>(sim_->Now() + round)),
+          job_->topology());
     }
-    voter->AddRound(*result);
+    voter->AddRound(result);
     if (!voter->Ready()) {
       RunFailSlowVoting(round + 1, voter);
       return;

@@ -1,5 +1,7 @@
 #include "src/tracer/stack_synth.h"
 
+#include <algorithm>
+
 namespace byterobust {
 
 namespace {
@@ -88,6 +90,16 @@ const StackTrace& CkptWriterStuckStack() {
   return trace;
 }
 
+const StackTrace& CkptFlushWaitStack() {
+  // Optimizer step gated on the wedged checkpoint save (Sec. 6.3: the step
+  // waits for each rank's own save to complete).
+  static const StackTrace trace{{
+      {"optimizer_step", "my_megatron/training.py", 455},
+      {"wait_ckpt_flush", "my_megatron/ckpt/manager.py", 203},
+  }};
+  return trace;
+}
+
 const StackTrace& ComputeKernelStack() {
   static const StackTrace trace{{
       {"backward", "my_megatron/fused_kernels/attention.py", 512},
@@ -99,7 +111,7 @@ const StackTrace& ComputeKernelStack() {
 namespace {
 
 // Trainer-process stack for one rank during a hang seeded at `culprit`.
-// Every branch returns an interned instance, so the caller's copy is shared.
+// Every branch returns an interned instance.
 const StackTrace& TrainerStackDuringHang(const Topology& topo, Rank rank, Rank culprit,
                                          HangSite site) {
   const RankCoord rc = topo.CoordOf(rank);
@@ -109,13 +121,7 @@ const StackTrace& TrainerStackDuringHang(const Topology& topo, Rank rank, Rank c
     return DataLoaderWaitStack();  // trainer starves waiting for the batch
   }
   if (site == HangSite::kCheckpointWriter && rank == culprit) {
-    // Optimizer step gated on the wedged checkpoint save (Sec. 6.3: the step
-    // waits for each rank's own save to complete).
-    static const StackTrace kWaitCkptFlush{{
-        {"optimizer_step", "my_megatron/training.py", 455},
-        {"wait_ckpt_flush", "my_megatron/ckpt/manager.py", 203},
-    }};
-    return kWaitCkptFlush;
+    return CkptFlushWaitStack();
   }
 
   const bool same_tp_group = rc.pp == cc.pp && rc.dp == cc.dp;
@@ -148,43 +154,34 @@ const StackTrace& TrainerStackDuringHang(const Topology& topo, Rank rank, Rank c
 
 }  // namespace
 
-std::vector<ProcessStack> SynthesizeHangStacks(const Topology& topology, Rank culprit,
-                                               HangSite site) {
-  std::vector<ProcessStack> out;
-  out.reserve(static_cast<std::size_t>(topology.world_size()));
-  for (Rank r = 0; r < topology.world_size(); ++r) {
-    ProcessStack ps;
-    ps.rank = r;
-    ps.machine = topology.MachineOfRank(r);
-    ps.kind = ProcessKind::kTrainer;
-    ps.stack = TrainerStackDuringHang(topology, r, culprit, site);
-    out.push_back(std::move(ps));
+PodStackSnapshot SynthesizeHangStacks(const Topology& topology, Rank culprit, HangSite site) {
+  PodStackSnapshot snapshot;
+  snapshot.SetDominant(ProcessKind::kTrainer, HealthyGradSyncStack());
+  // Only the culprit's DP column can deviate: its own TP group and the
+  // pipeline stages upstream of it. Visited in ascending rank order (TP
+  // innermost), as PodStackSnapshot::Add expects.
+  const RankCoord cc = topology.CoordOf(culprit);
+  for (int pp = 0; pp <= cc.pp; ++pp) {
+    for (int tp = 0; tp < topology.config().tp; ++tp) {
+      const Rank rank = topology.RankOf({tp, pp, cc.dp});
+      snapshot.Add(ProcessKind::kTrainer, rank,
+                   TrainerStackDuringHang(topology, rank, culprit, site));
+    }
   }
-  return out;
+  return snapshot;
 }
 
-std::vector<ProcessStack> SynthesizeFullPodStacks(const Topology& topology, Rank culprit,
-                                                  HangSite site) {
-  std::vector<ProcessStack> out = SynthesizeHangStacks(topology, culprit, site);
-  for (Rank r = 0; r < topology.world_size(); ++r) {
-    ProcessStack loader;
-    loader.rank = r;
-    loader.machine = topology.MachineOfRank(r);
-    loader.kind = ProcessKind::kDataLoader;
-    loader.stack = (site == HangSite::kDataLoader && r == culprit) ? DataLoaderStuckStack()
-                                                                   : DataLoaderIdleStack();
-    out.push_back(std::move(loader));
-
-    ProcessStack writer;
-    writer.rank = r;
-    writer.machine = topology.MachineOfRank(r);
-    writer.kind = ProcessKind::kCheckpointWriter;
-    writer.stack = (site == HangSite::kCheckpointWriter && r == culprit)
-                       ? CkptWriterStuckStack()
-                       : CkptWriterIdleStack();
-    out.push_back(std::move(writer));
+PodStackSnapshot SynthesizeFullPodStacks(const Topology& topology, Rank culprit,
+                                         HangSite site) {
+  PodStackSnapshot snapshot = SynthesizeHangStacks(topology, culprit, site);
+  snapshot.SetDominant(ProcessKind::kDataLoader, DataLoaderIdleStack());
+  snapshot.SetDominant(ProcessKind::kCheckpointWriter, CkptWriterIdleStack());
+  if (site == HangSite::kDataLoader) {
+    snapshot.Add(ProcessKind::kDataLoader, culprit, DataLoaderStuckStack());
+  } else if (site == HangSite::kCheckpointWriter) {
+    snapshot.Add(ProcessKind::kCheckpointWriter, culprit, CkptWriterStuckStack());
   }
-  return out;
+  return snapshot;
 }
 
 MachineId FailSlowNoiseMachine(std::uint64_t round_seed, int num_machines) {
@@ -197,24 +194,23 @@ MachineId FailSlowNoiseMachine(std::uint64_t round_seed, int num_machines) {
   return static_cast<MachineId>(Mix(h) % static_cast<std::uint64_t>(num_machines));
 }
 
-std::vector<ProcessStack> SynthesizeFailSlowStacks(const Topology& topology,
-                                                   MachineId slow_machine,
-                                                   std::uint64_t round_seed) {
-  std::vector<ProcessStack> out;
-  out.reserve(static_cast<std::size_t>(topology.world_size()));
+PodStackSnapshot SynthesizeFailSlowStacks(const Topology& topology, MachineId slow_machine,
+                                          std::uint64_t round_seed) {
+  std::vector<MachineId> laggards{slow_machine};
   const MachineId noisy = FailSlowNoiseMachine(round_seed, topology.num_machines());
-
-  for (Rank r = 0; r < topology.world_size(); ++r) {
-    const MachineId m = topology.MachineOfRank(r);
-    ProcessStack ps;
-    ps.rank = r;
-    ps.machine = m;
-    ps.kind = ProcessKind::kTrainer;
-    const bool laggard = m == slow_machine || (m == noisy && m != slow_machine);
-    ps.stack = laggard ? ComputeKernelStack() : HealthyGradSyncStack();
-    out.push_back(std::move(ps));
+  if (noisy >= 0 && noisy != slow_machine) {
+    laggards.push_back(noisy);
   }
-  return out;
+  std::sort(laggards.begin(), laggards.end());  // ascending ranks
+
+  PodStackSnapshot snapshot;
+  snapshot.SetDominant(ProcessKind::kTrainer, HealthyGradSyncStack());
+  for (MachineId m : laggards) {
+    for (Rank r : topology.RanksOnMachine(m)) {
+      snapshot.Add(ProcessKind::kTrainer, r, ComputeKernelStack());
+    }
+  }
+  return snapshot;
 }
 
 }  // namespace byterobust

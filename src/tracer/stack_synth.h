@@ -1,4 +1,4 @@
-// Stack synthesis: produces the per-rank stacks the on-demand tracer would
+// Stack synthesis: produces the pod stack snapshot the on-demand tracer would
 // capture for a given runtime condition, implementing the hang-propagation
 // pattern of Fig. 7.
 //
@@ -6,7 +6,9 @@
 // collective; the adjacent upstream pipeline stage blocks in isend, earlier
 // stages in irecv; every other rank finishes its backward pass and parks in
 // the data-parallel gradient sync (reduce-scatter) — the dominant "healthy"
-// stack group.
+// stack group. Snapshots store that group as a complement (PodStackSnapshot),
+// so synthesis only visits the ranks that deviate from it: the culprit's DP
+// column for a hang, the laggard machines for fail-slow.
 
 #ifndef SRC_TRACER_STACK_SYNTH_H_
 #define SRC_TRACER_STACK_SYNTH_H_
@@ -28,8 +30,7 @@ enum class HangSite {
 };
 
 // Canonical stacks (shared with tests so expectations stay in one place).
-// Each is a single interned instance: copies share the frame storage, so
-// assembling a whole-pod snapshot costs a refcount bump per process.
+// Each is a single interned instance: copies share the frame storage.
 const StackTrace& HealthyGradSyncStack();
 const StackTrace& TensorCollectiveStack();
 const StackTrace& PipelineIsendStack();
@@ -39,30 +40,27 @@ const StackTrace& DataLoaderStuckStack();  // dataloader wedged in storage read
 const StackTrace& DataLoaderIdleStack();   // healthy dataloader stack
 const StackTrace& CkptWriterIdleStack();
 const StackTrace& CkptWriterStuckStack();
+const StackTrace& CkptFlushWaitStack();    // trainer waiting on its wedged save
 const StackTrace& ComputeKernelStack();    // mid-backward compute (fail-slow laggard)
 
 // Trainer-process stacks for a hang seeded at `culprit` with the given site.
-// One ProcessStack per rank in the topology.
-std::vector<ProcessStack> SynthesizeHangStacks(const Topology& topology, Rank culprit,
-                                               HangSite site);
+// Lists at most tp x pp ranks (the culprit's DP column) whatever the world
+// size; every other trainer is in the gradient-sync complement.
+PodStackSnapshot SynthesizeHangStacks(const Topology& topology, Rank culprit, HangSite site);
 
-// Trainer + subprocess stacks (3 per rank), used when the root cause may sit
-// in a subprocess.
-std::vector<ProcessStack> SynthesizeFullPodStacks(const Topology& topology, Rank culprit,
-                                                  HangSite site);
+// Trainer + subprocess stacks (3 processes per rank), used when the root
+// cause may sit in a subprocess.
+PodStackSnapshot SynthesizeFullPodStacks(const Topology& topology, Rank culprit, HangSite site);
 
 // Fail-slow snapshot: the ranks on `slow_machine` appear mid-compute while
 // the rest wait at the synchronization barrier. `round_seed` adds one noisy
 // false outlier every few rounds, modelling sampling jitter; the analyzer's
 // multi-round voting (Sec. 5.1) must see through it.
-std::vector<ProcessStack> SynthesizeFailSlowStacks(const Topology& topology,
-                                                   MachineId slow_machine,
-                                                   std::uint64_t round_seed);
+PodStackSnapshot SynthesizeFailSlowStacks(const Topology& topology, MachineId slow_machine,
+                                          std::uint64_t round_seed);
 
 // The sampling-jitter machine a fail-slow round with this seed would also
-// catch mid-compute, or -1 for a clean round. Shared with the voting cache
-// (src/analyzer/aggregation.h) so a round's snapshot is fully determined by
-// (slow_machine, noise machine) and can be memoized.
+// catch mid-compute, or -1 for a clean round.
 MachineId FailSlowNoiseMachine(std::uint64_t round_seed, int num_machines);
 
 }  // namespace byterobust

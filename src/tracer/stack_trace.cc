@@ -1,6 +1,7 @@
 #include "src/tracer/stack_trace.h"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace byterobust {
 
@@ -30,6 +31,27 @@ const char* ProcessKindName(ProcessKind kind) {
       return "ckpt-writer";
   }
   return "unknown";
+}
+
+void PodStackSnapshot::SetDominant(ProcessKind kind, const StackTrace& stack) {
+  for (const StackSnapshotGroup& g : groups_) {
+    if (g.kind == kind) {
+      throw std::logic_error("SetDominant must come first and once per process kind");
+    }
+  }
+  groups_.push_back({kind, stack, true, {}});
+}
+
+void PodStackSnapshot::Add(ProcessKind kind, Rank rank, const StackTrace& stack) {
+  for (StackSnapshotGroup& g : groups_) {
+    if (g.kind == kind && g.stack == stack) {
+      if (!g.complement) {
+        g.ranks.push_back(rank);
+      }
+      return;
+    }
+  }
+  groups_.push_back({kind, stack, false, {rank}});
 }
 
 }  // namespace byterobust

@@ -21,11 +21,11 @@ struct StackFrame {
   bool operator==(const StackFrame&) const = default;
 };
 
-// An immutable stack shared by value. A whole-pod trace holds one stack per
-// process (world_size x 3 of them), but almost all of those are copies of a
-// handful of canned patterns — sharing the frame storage makes synthesizing
-// and aggregating a 9,600-rank pod a refcount bump per process instead of a
-// string-allocation storm.
+// An immutable stack shared by value. Copies share the frame storage; the
+// canned patterns of stack_synth.h are interned once per process. The storage
+// is reference-counted, so every copy writes one process-wide counter: pod
+// snapshots therefore hold one copy per stack *group*, never one per process
+// (see PodStackSnapshot below).
 class StackTrace {
  public:
   StackTrace() = default;
@@ -38,15 +38,6 @@ class StackTrace {
     static const std::vector<StackFrame> kEmpty;
     return frames_ ? *frames_ : kEmpty;
   }
-
-  // Stable identity of the shared frame storage (null for empty traces).
-  // Copies of one canned stack share it, so aggregation can hash it instead
-  // of the frame strings. CAVEAT: aggregation groups by this identity —
-  // structurally equal traces built as *separate* objects land in separate
-  // groups (with equal keys). Every producer must intern its patterns (the
-  // stack_synth.cc builders do); operator== below still deep-compares, so
-  // direct equality checks are unaffected.
-  const void* identity() const { return frames_.get(); }
 
   // Canonical string form; aggregation groups stacks by exact key match
   // (paper Sec. 5.1 "aggregated into multiple groups via string matching").
@@ -72,11 +63,36 @@ enum class ProcessKind {
 
 const char* ProcessKindName(ProcessKind kind);
 
-struct ProcessStack {
-  Rank rank = 0;
-  MachineId machine = 0;
+// One group of a pod stack snapshot: the `kind` processes of `ranks` all show
+// `stack`. A complement group lists no ranks: it stands for every rank of the
+// topology that no other group of the same kind lists.
+struct StackSnapshotGroup {
   ProcessKind kind = ProcessKind::kTrainer;
   StackTrace stack;
+  bool complement = false;
+  std::vector<Rank> ranks;  // ascending; empty for a complement group
+};
+
+// A whole-pod stack snapshot, stored by group instead of by process. Each
+// kind's dominant stack is one complement group; only the processes that
+// deviate from it are listed one by one. A 9,600-rank hang snapshot is thus a
+// handful of groups plus the culprit's DP column, and building or
+// aggregating it never touches the healthy ranks.
+class PodStackSnapshot {
+ public:
+  // Every `kind` process not listed by Add() shows `stack`. Call at most once
+  // per kind, before any Add() of that kind.
+  void SetDominant(ProcessKind kind, const StackTrace& stack);
+
+  // The `kind` process of `rank` shows `stack`. Add each (rank, kind) at most
+  // once, in ascending rank order per stack. A stack equal to the kind's
+  // dominant one is already covered by the complement and is not listed.
+  void Add(ProcessKind kind, Rank rank, const StackTrace& stack);
+
+  const std::vector<StackSnapshotGroup>& groups() const { return groups_; }
+
+ private:
+  std::vector<StackSnapshotGroup> groups_;
 };
 
 }  // namespace byterobust

@@ -304,6 +304,17 @@ TEST(FleetTest, MixedFleetRunsAllJobsAndStaysDeterministic) {
   EXPECT_LE(a.effective_gpu_ratio, 1.0);
 }
 
+// A replacement the controller provisions on the reschedule path (standby
+// pool short) is not installed until the deferred ReplaceSlot. The shared
+// pool must not adopt it in between, or another job later claims a machine
+// that is already serving and ReplaceSlot throws "replacement machine already
+// in service". These fleet-mixed seeds hit that window.
+TEST(FleetTest, ShortfallReplacementIsReservedUntilInstalled) {
+  for (std::uint64_t seed : {5857u, 6025u}) {
+    EXPECT_NO_THROW(RunFleet(FleetMixedConfig(/*days=*/0.5, seed))) << "seed " << seed;
+  }
+}
+
 TEST(FleetTest, ContentionFleetShowsSparePoolContention) {
   const FleetDigest d = RunFleet(FleetContentionConfig(/*days=*/0.5, /*seed=*/42));
   EXPECT_GE(d.preemptions + d.queued, 1)

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
+#include <optional>
+#include <set>
+#include <stdexcept>
 
 #include "src/tracer/process_tree.h"
 #include "src/tracer/stack_synth.h"
@@ -43,6 +46,35 @@ TEST(ProcessTreeTest, PodTreeShape) {
   EXPECT_EQ(tree.TrainerFor(99), nullptr);
 }
 
+// The listed ranks of the `kind` group showing `stack`, or nullopt when the
+// snapshot has no such group.
+std::optional<std::vector<Rank>> ListedRanks(const PodStackSnapshot& snapshot, ProcessKind kind,
+                                             const StackTrace& stack) {
+  for (const StackSnapshotGroup& g : snapshot.groups()) {
+    if (g.kind == kind && g.stack == stack) {
+      return g.ranks;
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<MachineId> MachinesOf(const Topology& topo, const std::vector<Rank>& ranks) {
+  std::set<MachineId> machines;
+  for (Rank r : ranks) {
+    machines.insert(topo.MachineOfRank(r));
+  }
+  return {machines.begin(), machines.end()};
+}
+
+// Processes of `kind` that the snapshot lists one by one.
+std::size_t ListedCount(const PodStackSnapshot& snapshot, ProcessKind kind) {
+  std::size_t n = 0;
+  for (const StackSnapshotGroup& g : snapshot.groups()) {
+    n += g.kind == kind ? g.ranks.size() : 0;
+  }
+  return n;
+}
+
 TEST(StackSynthTest, Fig7BackwardHangPattern) {
   // Culprit: rank 30 (tp=0, pp=3, dp=3) on machine 15, stuck in the TP
   // all-gather. Expect exactly the Fig. 7 groups:
@@ -52,28 +84,23 @@ TEST(StackSynthTest, Fig7BackwardHangPattern) {
   //   machines 12-13 (pp=0..1, dp=3): irecv
   const Topology topo = Fig7Topology();
   const auto stacks = SynthesizeHangStacks(topo, 30, HangSite::kTensorCollective);
-  ASSERT_EQ(stacks.size(), 32u);
+  ASSERT_EQ(stacks.groups().size(), 4u);
 
-  std::map<std::string, int> counts;
-  for (const auto& ps : stacks) {
-    ++counts[ps.stack.Key()];
-  }
-  EXPECT_EQ(counts[HealthyGradSyncStack().Key()], 24);
-  EXPECT_EQ(counts[TensorCollectiveStack().Key()], 2);
-  EXPECT_EQ(counts[PipelineIsendStack().Key()], 2);
-  EXPECT_EQ(counts[PipelineIrecvStack().Key()], 4);
+  const StackSnapshotGroup& healthy = stacks.groups().front();
+  EXPECT_TRUE(healthy.complement);
+  EXPECT_EQ(healthy.stack, HealthyGradSyncStack());
+  EXPECT_EQ(topo.world_size() - ListedCount(stacks, ProcessKind::kTrainer), 24u);
 
-  for (const auto& ps : stacks) {
-    if (ps.stack == TensorCollectiveStack()) {
-      EXPECT_EQ(ps.machine, 15);
-    } else if (ps.stack == PipelineIsendStack()) {
-      EXPECT_EQ(ps.machine, 14);
-    } else if (ps.stack == PipelineIrecvStack()) {
-      EXPECT_TRUE(ps.machine == 12 || ps.machine == 13);
-    } else {
-      EXPECT_LE(ps.machine, 11);
-    }
-  }
+  const auto collective = ListedRanks(stacks, ProcessKind::kTrainer, TensorCollectiveStack());
+  const auto isend = ListedRanks(stacks, ProcessKind::kTrainer, PipelineIsendStack());
+  const auto irecv = ListedRanks(stacks, ProcessKind::kTrainer, PipelineIrecvStack());
+  ASSERT_TRUE(collective && isend && irecv);
+  EXPECT_EQ(*collective, (std::vector<Rank>{30, 31}));
+  EXPECT_EQ(*isend, (std::vector<Rank>{28, 29}));
+  EXPECT_EQ(*irecv, (std::vector<Rank>{24, 25, 26, 27}));
+  EXPECT_EQ(MachinesOf(topo, *collective), (std::vector<MachineId>{15}));
+  EXPECT_EQ(MachinesOf(topo, *isend), (std::vector<MachineId>{14}));
+  EXPECT_EQ(MachinesOf(topo, *irecv), (std::vector<MachineId>{12, 13}));
 }
 
 TEST(StackSynthTest, MidPipelineCulpritOnlyStallsEarlierStages) {
@@ -81,81 +108,61 @@ TEST(StackSynthTest, MidPipelineCulpritOnlyStallsEarlierStages) {
   // Culprit rank 10 = (tp=0, pp=1, dp=1): stage 0 of that column starves;
   // stages 2-3 already finished their backward sends and park in grad sync.
   const auto stacks = SynthesizeHangStacks(topo, 10, HangSite::kTensorCollective);
-  std::map<std::string, int> counts;
-  for (const auto& ps : stacks) {
-    ++counts[ps.stack.Key()];
-  }
-  EXPECT_EQ(counts[TensorCollectiveStack().Key()], 2);   // culprit TP pair
-  EXPECT_EQ(counts[PipelineIsendStack().Key()], 2);      // pp=0 machine (adjacent)
-  EXPECT_EQ(counts[PipelineIrecvStack().Key()], 0);      // nothing below pp=0
-  EXPECT_EQ(counts[HealthyGradSyncStack().Key()], 28);
+  EXPECT_EQ(ListedRanks(stacks, ProcessKind::kTrainer, TensorCollectiveStack()),
+            (std::vector<Rank>{10, 11}));  // culprit TP pair
+  EXPECT_EQ(ListedRanks(stacks, ProcessKind::kTrainer, PipelineIsendStack()),
+            (std::vector<Rank>{8, 9}));  // pp=0 machine (adjacent)
+  EXPECT_FALSE(ListedRanks(stacks, ProcessKind::kTrainer, PipelineIrecvStack()));
+  EXPECT_EQ(topo.world_size() - ListedCount(stacks, ProcessKind::kTrainer), 28u);
 }
 
 TEST(StackSynthTest, PipelineP2pSiteMarksCulpritInIrecv) {
   const Topology topo = Fig7Topology();
   const auto stacks = SynthesizeHangStacks(topo, 30, HangSite::kPipelineP2p);
-  bool culprit_found = false;
-  for (const auto& ps : stacks) {
-    if (ps.rank == 30) {
-      culprit_found = true;
-      EXPECT_EQ(ps.stack, PipelineIrecvStack());
-    }
-  }
-  EXPECT_TRUE(culprit_found);
+  const auto irecv = ListedRanks(stacks, ProcessKind::kTrainer, PipelineIrecvStack());
+  ASSERT_TRUE(irecv);
+  EXPECT_EQ(std::count(irecv->begin(), irecv->end(), 30), 1);
+  // Its TP peer still waits in the collective.
+  EXPECT_EQ(ListedRanks(stacks, ProcessKind::kTrainer, TensorCollectiveStack()),
+            (std::vector<Rank>{31}));
 }
 
 TEST(StackSynthTest, FullPodStacksIncludeSubprocesses) {
   const Topology topo = Fig7Topology();
   const auto stacks = SynthesizeFullPodStacks(topo, 6, HangSite::kDataLoader);
-  EXPECT_EQ(stacks.size(), 3u * 32u);
-  int stuck_loaders = 0;
-  int starving_trainers = 0;
-  for (const auto& ps : stacks) {
-    if (ps.kind == ProcessKind::kDataLoader && ps.stack == DataLoaderStuckStack()) {
-      ++stuck_loaders;
-      EXPECT_EQ(ps.rank, 6);
-    }
-    if (ps.kind == ProcessKind::kTrainer && ps.stack == DataLoaderWaitStack()) {
-      ++starving_trainers;
-      EXPECT_EQ(ps.rank, 6);
-    }
+  int complements = 0;
+  for (const StackSnapshotGroup& g : stacks.groups()) {
+    complements += g.complement ? 1 : 0;
   }
-  EXPECT_EQ(stuck_loaders, 1);
-  EXPECT_EQ(starving_trainers, 1);
+  EXPECT_EQ(complements, 3);  // one dominant stack per process kind
+  EXPECT_EQ(ListedRanks(stacks, ProcessKind::kDataLoader, DataLoaderStuckStack()),
+            (std::vector<Rank>{6}));
+  EXPECT_EQ(ListedRanks(stacks, ProcessKind::kTrainer, DataLoaderWaitStack()),
+            (std::vector<Rank>{6}));
+  EXPECT_EQ(ListedCount(stacks, ProcessKind::kCheckpointWriter), 0u);
 }
 
 TEST(StackSynthTest, CheckpointWriterSiteBlocksOptimizerStep) {
   const Topology topo = Fig7Topology();
   const auto stacks = SynthesizeFullPodStacks(topo, 9, HangSite::kCheckpointWriter);
-  int stuck_writers = 0;
-  for (const auto& ps : stacks) {
-    if (ps.kind == ProcessKind::kCheckpointWriter && ps.stack == CkptWriterStuckStack()) {
-      ++stuck_writers;
-      EXPECT_EQ(ps.rank, 9);
-    }
-  }
-  EXPECT_EQ(stuck_writers, 1);
+  EXPECT_EQ(ListedRanks(stacks, ProcessKind::kCheckpointWriter, CkptWriterStuckStack()),
+            (std::vector<Rank>{9}));
+  EXPECT_EQ(ListedRanks(stacks, ProcessKind::kTrainer, CkptFlushWaitStack()),
+            (std::vector<Rank>{9}));
+  EXPECT_EQ(ListedCount(stacks, ProcessKind::kDataLoader), 0u);
 }
 
 TEST(StackSynthTest, FailSlowLaggardShowsComputeStack) {
   const Topology topo = Fig7Topology();
-  // Pick a seed whose round adds no noise; the laggard machine's two ranks
-  // are the only compute stacks.
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     const auto stacks = SynthesizeFailSlowStacks(topo, 7, seed);
-    int compute = 0;
-    bool machine7_compute = false;
-    for (const auto& ps : stacks) {
-      if (ps.stack == ComputeKernelStack()) {
-        ++compute;
-        if (ps.machine == 7) {
-          machine7_compute = true;
-        }
-      }
-    }
-    EXPECT_TRUE(machine7_compute) << "laggard machine must look busy";
-    EXPECT_GE(compute, 2);
-    EXPECT_LE(compute, 4);  // at most one extra noisy machine
+    const auto compute = ListedRanks(stacks, ProcessKind::kTrainer, ComputeKernelStack());
+    ASSERT_TRUE(compute);
+    const std::vector<MachineId> machines = MachinesOf(topo, *compute);
+    EXPECT_EQ(std::count(machines.begin(), machines.end(), 7), 1)
+        << "laggard machine must look busy";
+    EXPECT_GE(compute->size(), 2u);
+    EXPECT_LE(compute->size(), 4u);  // at most one extra noisy machine
   }
 }
 
@@ -163,10 +170,57 @@ TEST(StackSynthTest, FailSlowNoiseIsDeterministicPerSeed) {
   const Topology topo = Fig7Topology();
   const auto a = SynthesizeFailSlowStacks(topo, 3, 42);
   const auto b = SynthesizeFailSlowStacks(topo, 3, 42);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].stack, b[i].stack);
+  ASSERT_EQ(a.groups().size(), b.groups().size());
+  for (std::size_t i = 0; i < a.groups().size(); ++i) {
+    EXPECT_EQ(a.groups()[i].stack, b.groups()[i].stack);
+    EXPECT_EQ(a.groups()[i].ranks, b.groups()[i].ranks);
   }
+}
+
+// The snapshot lists only the culprit's DP column: a 9,600-rank pod holds
+// exactly as many groups and listed ranks as a one-column (64-rank) pod with
+// the same TP x PP shape, for every hang site.
+TEST(StackSynthTest, HangSnapshotSizeIsIndependentOfWorldSize) {
+  ParallelismConfig column;
+  column.tp = 8;
+  column.pp = 8;
+  column.dp = 1;
+  column.gpus_per_machine = 8;
+  ParallelismConfig dense = column;
+  dense.dp = 150;
+  const Topology small(column);
+  const Topology large(dense);
+  ASSERT_EQ(large.world_size(), 9600);
+  for (HangSite site : {HangSite::kTensorCollective, HangSite::kPipelineP2p,
+                        HangSite::kDataLoader, HangSite::kCheckpointWriter}) {
+    // Last pipeline stage: the deepest upstream starvation, most ranks listed.
+    const auto a = SynthesizeFullPodStacks(small, small.RankOf({3, 7, 0}), site);
+    const auto b = SynthesizeFullPodStacks(large, large.RankOf({3, 7, 97}), site);
+    ASSERT_EQ(a.groups().size(), b.groups().size());
+    EXPECT_LE(b.groups().size(), 8u);
+    std::size_t listed = 0;
+    for (std::size_t i = 0; i < a.groups().size(); ++i) {
+      EXPECT_EQ(a.groups()[i].ranks.size(), b.groups()[i].ranks.size());
+      listed += b.groups()[i].ranks.size();
+    }
+    EXPECT_LE(listed, 64u + 2u);  // one DP column plus a wedged subprocess
+  }
+}
+
+TEST(PodStackSnapshotTest, DominantStackIsNeverListed) {
+  PodStackSnapshot snapshot;
+  snapshot.SetDominant(ProcessKind::kTrainer, HealthyGradSyncStack());
+  snapshot.Add(ProcessKind::kTrainer, 4, HealthyGradSyncStack());
+  snapshot.Add(ProcessKind::kTrainer, 5, ComputeKernelStack());
+  snapshot.Add(ProcessKind::kTrainer, 6, ComputeKernelStack());
+  ASSERT_EQ(snapshot.groups().size(), 2u);
+  EXPECT_TRUE(snapshot.groups()[0].ranks.empty());
+  EXPECT_EQ(snapshot.groups()[1].ranks, (std::vector<Rank>{5, 6}));
+  // A second dominant stack for the same kind would make the complement
+  // ambiguous.
+  EXPECT_THROW(snapshot.SetDominant(ProcessKind::kTrainer, ComputeKernelStack()),
+               std::logic_error);
+  EXPECT_NO_THROW(snapshot.SetDominant(ProcessKind::kDataLoader, DataLoaderIdleStack()));
 }
 
 }  // namespace
