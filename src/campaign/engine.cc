@@ -20,11 +20,6 @@
 
 namespace byterobust {
 
-bool StreamCampaignEnabled() {
-  const char* env = std::getenv("BYTEROBUST_STREAM_CAMPAIGN");
-  return env == nullptr || std::string(env) != "0";
-}
-
 void WriteAggregate(JsonWriter* w, const std::string& key, const Aggregate& a) {
   w->Key(key);
   w->BeginObject();
@@ -52,6 +47,14 @@ Aggregate FoldAggregateAt(const std::vector<std::vector<double>>& summaries, std
 
 namespace {
 
+// BYTEROBUST_STREAM_CAMPAIGN=0 pins the memory store (every rendered element
+// held until the pool joins), the reference the spill store is byte-compared
+// against.
+bool StreamCampaignEnabled() {
+  const char* env = std::getenv("BYTEROBUST_STREAM_CAMPAIGN");
+  return env == nullptr || std::string(env) != "0";
+}
+
 // Rendered as a primed depth-1 block so it splices after the closed "runs"
 // array; emitted only when non-empty, so clean campaigns keep their exact
 // byte layout.
@@ -73,14 +76,14 @@ std::string RenderFailedRuns(const std::vector<FailedRun>& failures) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-pool plumbing. All cross-thread mutable state lives in the two small
+// Worker-pool plumbing. All cross-thread mutable state lives in the small
 // classes below with BR_GUARDED_BY-annotated members, so the clang
 // `-Wthread-safety` CI job statically proves every access holds the right
 // lock. (Annotations only attach to members and globals — lambda-captured
 // locals are invisible to the analysis — which is why this state is hoisted
-// out of the engine functions.) Per-seed slots such as `summaries[i]` and the
-// spill index are written by exactly one worker each (disjoint indices of
-// pre-sized vectors) and read only after the pool joins; they need no lock.
+// out of the engine body.) Per-seed slots such as a store's summaries are
+// written by exactly one worker each (disjoint indices of pre-sized vectors)
+// and read only after the pool joins; they need no lock.
 // ---------------------------------------------------------------------------
 
 // First-failure latch for a worker pool: the first captured exception wins,
@@ -117,129 +120,15 @@ class FailureLatch {
   std::exception_ptr first_error_ BR_GUARDED_BY(mu_);
 };
 
-// Claims seed indices off the shared ticket until they run out, a worker has
-// failed, or `stop` asks for a graceful drain (in-flight seeds finish, no new
-// claims); runs `run` for each claim, latching the first exception wrapped
-// with campaign/seed/worker context. The optional `on_failure` hook runs
-// after the latch captures (e.g. to wake a committer blocked on a condition
-// variable).
-void DrainSeeds(int seeds, std::atomic<int>* next_seed, FailureLatch* latch,
-                const std::string& label, int worker,
-                const std::function<bool()>& stop,
-                const std::function<void(int)>& run,
-                const std::function<void()>& on_failure = {}) {
-  for (int i = next_seed->fetch_add(1); i < seeds && !latch->failed();
-       i = next_seed->fetch_add(1)) {
-    if (stop && stop()) {
-      return;
-    }
-    try {
-      // Worker-occupancy span: one "seed" interval per claim on this
-      // worker's trace track, so idle gaps between seeds are visible.
-      const obs::ScopedSpan seed_span("seed", "campaign", i);
-      run(i);
-    } catch (const std::exception& e) {
-      latch->Capture(std::make_exception_ptr(std::runtime_error(
-          label + ", seed index " + std::to_string(i) + ", worker " +
-          std::to_string(worker) + ": " + e.what())));
-      if (on_failure) {
-        on_failure();
-      }
-      return;
-    } catch (...) {
-      latch->Capture(std::current_exception());
-      if (on_failure) {
-        on_failure();
-      }
-      return;
-    }
-  }
-}
-
-// Out-of-order producers, strictly seed-ordered consumer: workers Push each
-// rendered element as it finishes; the committer Pops 0, 1, 2, ... so the
-// document is written in seed order while only the out-of-order tail is ever
-// resident. A latched failure wakes the committer immediately.
-class OrderedCommitQueue {
- public:
-  OrderedCommitQueue(const FailureLatch* latch, int producers)
-      : latch_(latch), active_producers_(producers) {}
-
-  void Push(int index, std::string element) {
-    {
-      const MutexLock lock(&mu_);
-      done_.emplace(index, std::move(element));
-    }
-    cv_.NotifyOne();
-  }
-
-  // Each producer thread calls this exactly once on exit. When the last one
-  // leaves, any committer still waiting for an unproduced seed (graceful
-  // stop, or a quarantine race) unblocks instead of waiting forever.
-  void ProducerExited() {
-    {
-      const MutexLock lock(&mu_);
-      --active_producers_;
-      if (active_producers_ > 0) {
-        return;
-      }
-    }
-    cv_.NotifyAll();
-  }
-
-  // Wakes the committer after the latch recorded a failure. Acquiring mu_
-  // (even briefly) orders the notification after the committer's failed()
-  // check in Pop(): either the committer already observed the failure, or it
-  // has released mu_ inside cv_.Wait() and the NotifyAll cannot be lost.
-  // Notifying without the lock could fire between the check and the wait,
-  // leaving the committer blocked forever once producers stop pushing.
-  void NotifyFailure() {
-    { const MutexLock lock(&mu_); }
-    cv_.NotifyAll();
-  }
-
-  // Blocks until element `index` is available (true), or until it can never
-  // arrive — the pool failed, or every producer exited without pushing it
-  // (false).
-  bool Pop(int index, std::string* element) {
-    // Ordered-commit wait: how long the committer idled for this seed to be
-    // produced (instant when the element is already queued).
-    const obs::ScopedSpan wait_span("commit_wait", "campaign", index);
-    const MutexLock lock(&mu_);
-    while (true) {
-      const auto it = done_.find(index);
-      if (it != done_.end()) {
-        *element = std::move(it->second);
-        done_.erase(it);
-        return true;
-      }
-      if (latch_->failed() || active_producers_ == 0) {
-        return false;
-      }
-      cv_.Wait(&mu_);
-    }
-  }
-
- private:
-  const FailureLatch* latch_;
-  Mutex mu_;
-  CondVar cv_;
-  int active_producers_ BR_GUARDED_BY(mu_);
-  std::map<int, std::string> done_ BR_GUARDED_BY(mu_);
-};
-
 // Runs `body(worker_index)` on `workers` threads — the calling thread doubles
-// as worker 0 unless `caller_participates` is false — and joins them all.
-void RunWorkerPool(int workers, bool caller_participates,
-                   const std::function<void(int)>& body) {
+// as worker 0, so one worker spawns no thread — and joins them all.
+void RunWorkerPool(int workers, const std::function<void(int)>& body) {
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
-  for (int t = caller_participates ? 1 : 0; t < workers; ++t) {
+  for (int t = 1; t < workers; ++t) {
     pool.emplace_back(body, t);
   }
-  if (caller_participates) {
-    body(0);
-  }
+  body(0);
   for (std::thread& t : pool) {
     t.join();
   }
@@ -285,6 +174,14 @@ class OutputSink {
     }
   }
 
+  // Appends one element of the open "runs" array.
+  void WriteRun(const std::string& element) {
+    if (runs_written_++ > 0) {
+      Write(",");
+    }
+    Write(element);
+  }
+
   // kExitOk on success, mirroring the CLI Emit() contract.
   int Finish() {
     if (capture_ == nullptr && (std::fflush(stdout) != 0 || std::ferror(stdout) != 0)) {
@@ -307,11 +204,12 @@ class OutputSink {
   std::FILE* file_ = nullptr;
   bool ok_ = true;
   bool stdout_ok_ = true;
+  int runs_written_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// CampaignHarness: the per-seed fault-tolerance wrapper shared by all three
-// engine paths. RunSeed(i) short-circuits seeds already committed in a
+// CampaignHarness: the per-seed fault-tolerance wrapper every worker runs
+// seeds through. RunSeed(i) short-circuits seeds already committed in a
 // --resume journal, runs fresh seeds under the SeedSupervisor (watchdog,
 // deterministic retry/backoff, self-fault-injection), journals each success,
 // and converts persistent failures into quarantine outcomes instead of
@@ -417,355 +315,304 @@ class CampaignHarness {
   std::vector<FailedRun> failures_ BR_GUARDED_BY(mu_);
 };
 
-// Reports a graceful interrupt (stderr note + kExitInterrupted), shared by
-// the three engine paths.
-int FinishInterrupted(const CampaignHarness& harness, int processed, int seeds) {
-  std::fprintf(stderr, "note: campaign interrupted after %d of %d seeds%s\n",
-               processed, seeds, harness.ResumeHint().c_str());
-  return kExitInterrupted;
-}
+// ---------------------------------------------------------------------------
+// Run stores: where a finished run waits between its worker and the document
+// — the one thing the output paths differ in. Workers Put() concurrently; the
+// base keeps each seed's summary and quarantine flag for the aggregate fold.
+//   - OrderedStore (--stream, every serve request): the worker that finishes
+//     the next-in-order seed writes the contiguous ready prefix to the sink,
+//     so only the out-of-order tail is ever resident.
+//   - SpillStore (default): elements are appended to one shared tmpfile as
+//     seeds finish and read back in seed order; one rendered element per
+//     worker is resident.
+//   - MemoryStore (BYTEROBUST_STREAM_CAMPAIGN=0): every element held by index.
+// ---------------------------------------------------------------------------
+class RunStore {
+ public:
+  explicit RunStore(int seeds)
+      : summaries_(static_cast<std::size_t>(seeds)),
+        failed_(static_cast<std::size_t>(seeds), 0) {}
+  virtual ~RunStore() = default;
+  RunStore(const RunStore&) = delete;
+  RunStore& operator=(const RunStore&) = delete;
 
-// Exit code for a campaign that ran to completion: any I/O error wins, then
-// quarantined seeds map to the distinct completed-with-failures code.
-int FinishCompleted(OutputSink* sink, const std::vector<FailedRun>& failures) {
-  const int io = sink->Finish();
-  if (io != kExitOk) {
-    return io;
+  // Called by the worker that ran seed `index`.
+  void Put(int index, SeedOutcome outcome) {
+    const auto i = static_cast<std::size_t>(index);
+    failed_[i] = outcome.failed ? 1 : 0;
+    summaries_[i] = std::move(outcome.summary);
+    Keep(index, outcome.failed, std::move(outcome.element));
+    processed_.fetch_add(1, std::memory_order_relaxed);
   }
-  return failures.empty() ? kExitOk : kExitQuarantine;
-}
 
-// Where one rendered seed landed inside its worker's spill file.
-struct SpillLocation {
-  std::uint32_t worker = 0;
-  long offset = 0;
-  std::uint32_t length = 0;
+  // Seeds the document covers once the pool has joined: every processed seed
+  // (a complete campaign processed them all).
+  virtual int Settled() { return processed_.load(std::memory_order_relaxed); }
+
+  // Writes the kept elements into the open "runs" array in seed order. False
+  // (reported on stderr) when they cannot be read back.
+  virtual bool WriteRuns(OutputSink* sink) = 0;
+
+  // The surviving seeds' summaries in [0, prefix), in seed order: exactly
+  // what the aggregate block folds. Call once, after the pool joins.
+  std::vector<std::vector<double>> TakeSummaries(int prefix) {
+    std::vector<std::vector<double>> taken;
+    taken.reserve(static_cast<std::size_t>(prefix));
+    for (int i = 0; i < prefix; ++i) {
+      if (!failed(i)) {
+        taken.push_back(std::move(summaries_[static_cast<std::size_t>(i)]));
+      }
+    }
+    return taken;
+  }
+
+ protected:
+  // Holds (or writes) one finished element; a quarantined seed has none.
+  virtual void Keep(int index, bool failed, std::string element) = 0;
+
+  bool failed(int index) const { return failed_[static_cast<std::size_t>(index)] != 0; }
+  int seeds() const { return static_cast<int>(failed_.size()); }
+
+ private:
+  std::vector<std::vector<double>> summaries_;
+  std::vector<unsigned char> failed_;
+  std::atomic<int> processed_{0};
 };
 
-// Owns the per-worker spill tmpfiles; every exit path (success, spill I/O
-// error, worker exception, interrupt) closes them through this one
-// destructor instead of hand-rolled cleanup loops.
-class SpillSet {
+class OrderedStore : public RunStore {
  public:
-  explicit SpillSet(int workers) : files_(static_cast<std::size_t>(workers), nullptr) {
-    for (std::FILE*& f : files_) {
-      f = std::tmpfile();
-      if (f == nullptr) {
-        ok_ = false;
-        return;
-      }
-    }
-  }
-  ~SpillSet() {
-    for (std::FILE* f : files_) {
-      if (f != nullptr) {
-        std::fclose(f);
-      }
-    }
-  }
-  SpillSet(const SpillSet&) = delete;
-  SpillSet& operator=(const SpillSet&) = delete;
+  OrderedStore(int seeds, OutputSink* sink) : RunStore(seeds), sink_(sink) {}
 
-  bool ok() const { return ok_; }
-  std::FILE* at(std::size_t worker) const { return files_[worker]; }
+  // The committed prefix: a graceful stop can leave seeds after a gap.
+  int Settled() override {
+    const MutexLock lock(&mu_);
+    return next_;
+  }
 
-  void FlushAll() {
-    for (std::FILE* f : files_) {
-      std::fflush(f);
+  bool WriteRuns(OutputSink* /*sink*/) override { return true; }  // written on commit
+
+ protected:
+  void Keep(int index, bool failed, std::string element) override {
+    const MutexLock lock(&mu_);
+    ready_.emplace(index, failed ? std::nullopt : std::make_optional(std::move(element)));
+    // Every index below next_ is gone, so the ready prefix sits at begin().
+    auto it = ready_.begin();
+    while (it != ready_.end() && it->first == next_) {
+      if (it->second) {
+        sink_->WriteRun(*it->second);
+      }
+      it = ready_.erase(it);
+      ++next_;
     }
   }
 
  private:
-  std::vector<std::FILE*> files_;
-  bool ok_ = true;
+  Mutex mu_;
+  OutputSink* const sink_ BR_PT_GUARDED_BY(mu_);
+  int next_ BR_GUARDED_BY(mu_) = 0;  // first seed not yet written
+  std::map<int, std::optional<std::string>> ready_ BR_GUARDED_BY(mu_);
 };
 
-// Default streaming path: each worker appends its finished seeds' JSON to a
-// private tmpfile; the merger then concatenates the elements in seed order
-// (seeking by the per-seed index) while the aggregate block folds from the
-// per-seed summaries. Peak memory: one rendered element per worker.
-int RunEngineSpillStreaming(const CampaignEngineSpec& spec) {
-  const int seeds = spec.seeds;
-  const int workers = std::max(1, std::min(spec.jobs, seeds));
-  CampaignHarness harness(spec);
-  OutputSink sink(spec.out_path, spec.capture);
-  if (!sink.ok()) {
-    return sink.Finish();  // fail fast: --out unwritable, nothing simulated
-  }
-  SpillSet spills(workers);
-  if (!spills.ok()) {
-    std::fprintf(stderr, "error: could not create campaign spill file\n");
-    return kExitIoError;
-  }
-  std::vector<std::vector<double>> summaries(static_cast<std::size_t>(seeds));
-  std::vector<SpillLocation> index(static_cast<std::size_t>(seeds));
-  std::vector<unsigned char> failed(static_cast<std::size_t>(seeds), 0);
-
-  std::atomic<int> next{0};
-  std::atomic<int> processed{0};
-  FailureLatch latch;
-  const auto worker = [&](int w) {
-    // Each worker appends to its own spill file and writes disjoint
-    // summaries/index/failed slots; only the latch is cross-thread state.
-    long offset = 0;
-    DrainSeeds(seeds, &next, &latch, spec.label, w,
-               [&] { return harness.stop_requested(); }, [&](int i) {
-      SeedOutcome outcome = harness.RunSeed(i);
-      processed.fetch_add(1, std::memory_order_relaxed);
-      if (outcome.failed) {
-        failed[static_cast<std::size_t>(i)] = 1;
-        return;
-      }
-      summaries[static_cast<std::size_t>(i)] = std::move(outcome.summary);
-      const std::string element = std::move(outcome.element);
-      if (std::fwrite(element.data(), 1, element.size(),
-                      spills.at(static_cast<std::size_t>(w))) != element.size()) {
-        throw std::runtime_error("campaign spill write failed");
-      }
-      index[static_cast<std::size_t>(i)] = {static_cast<std::uint32_t>(w), offset,
-                                            static_cast<std::uint32_t>(element.size())};
-      offset += static_cast<long>(element.size());
-    });
-  };
-  RunWorkerPool(workers, /*caller_participates=*/true, worker);
-  latch.RethrowIfFailed();
-  if (harness.stop_requested() && processed.load(std::memory_order_relaxed) < seeds) {
-    // Interrupted before every seed finished: nothing merged — the journal
-    // (not a half-document) is the restart artifact.
-    return FinishInterrupted(harness, processed.load(std::memory_order_relaxed), seeds);
-  }
-
-  spills.FlushAll();
-  std::vector<std::vector<double>> folded;
-  folded.reserve(summaries.size());
-  for (int i = 0; i < seeds; ++i) {
-    if (failed[static_cast<std::size_t>(i)] == 0) {
-      folded.push_back(std::move(summaries[static_cast<std::size_t>(i)]));
+class SpillStore : public RunStore {
+ public:
+  explicit SpillStore(int seeds)
+      : RunStore(seeds), file_(std::tmpfile()), where_(static_cast<std::size_t>(seeds)) {}
+  ~SpillStore() override {
+    if (file_ != nullptr) {
+      std::fclose(file_);
     }
   }
-  JsonWriter header;
-  header.BeginObject();
-  spec.header_fields(&header);
-  spec.aggregates(&header, folded);
-  header.Key("runs");
-  header.BeginArray();
-  sink.Write(header.Take());
-  {
-    // The sequential re-read/concatenate pass over the per-worker spills.
+
+  bool ok() const { return file_ != nullptr; }
+
+  bool WriteRuns(OutputSink* sink) override {
+    // The sequential re-read/concatenate pass over the spill.
     const obs::ScopedSpan merge_span("spill_merge", "campaign");
+    const MutexLock lock(&mu_);
     std::string element;
-    int emitted = 0;
-    for (int i = 0; i < seeds; ++i) {
-      if (failed[static_cast<std::size_t>(i)] != 0) {
+    for (int i = 0; i < seeds(); ++i) {
+      if (failed(i)) {
         continue;
       }
-      const SpillLocation& loc = index[static_cast<std::size_t>(i)];
-      element.resize(loc.length);
-      std::FILE* f = spills.at(loc.worker);
-      if (std::fseek(f, loc.offset, SEEK_SET) != 0 ||
-          std::fread(element.data(), 1, element.size(), f) != element.size()) {
+      const auto [offset, length] = where_[static_cast<std::size_t>(i)];
+      element.resize(length);
+      if (std::fseek(file_, offset, SEEK_SET) != 0 ||
+          std::fread(element.data(), 1, length, file_) != length) {
         std::fprintf(stderr, "error: campaign spill read failed\n");
-        return kExitIoError;
+        return false;
       }
-      if (emitted++ > 0) {
-        sink.Write(",");
-      }
-      sink.Write(element);
+      sink->WriteRun(element);
     }
+    return true;
   }
-  sink.Write("\n  ]");
-  const std::vector<FailedRun> failures = harness.failures();
-  if (!failures.empty()) {
-    sink.Write(RenderFailedRuns(failures));
-  }
-  sink.Write("\n}\n");
-  return FinishCompleted(&sink, failures);
-}
 
-// --stream: fully incremental document for live consumption. Runs are written
-// the moment their seed is next in order (nothing is spilled), so the
-// "aggregate" block — which needs every seed — moves to the end of the
-// document; all values are identical to the default layout's.
-int RunEngineDirectStreaming(const CampaignEngineSpec& spec) {
-  const int seeds = spec.seeds;
-  CampaignHarness harness(spec);
-  OutputSink sink(spec.out_path, spec.capture);
-  if (!sink.ok()) {
-    return sink.Finish();  // fail fast: --out unwritable, nothing simulated
-  }
-  JsonWriter header;
-  header.BeginObject();
-  spec.header_fields(&header);
-  header.Key("runs");
-  header.BeginArray();
-  sink.Write(header.Take());
-
-  std::vector<std::vector<double>> summaries(static_cast<std::size_t>(seeds));
-  std::vector<unsigned char> failed(static_cast<std::size_t>(seeds), 0);
-  int emitted = 0;
-  // Quarantined seeds travel through the queue as empty sentinels so the
-  // in-order committer advances past them without emitting an element.
-  const auto commit = [&](const std::string& element) {
-    if (element.empty()) {
+ protected:
+  void Keep(int index, bool failed, std::string element) override {
+    if (failed) {
       return;
     }
-    if (emitted++ > 0) {
-      sink.Write(",");
+    const MutexLock lock(&mu_);
+    if (std::fwrite(element.data(), 1, element.size(), file_) != element.size()) {
+      throw std::runtime_error("campaign spill write failed");
     }
-    sink.Write(element);
-  };
-
-  const int workers = std::max(1, std::min(spec.jobs, seeds));
-  int committed = 0;  // seeds whose outcome reached the committer, in order
-  if (workers <= 1) {
-    for (; committed < seeds; ++committed) {
-      if (harness.stop_requested()) {
-        break;
-      }
-      SeedOutcome outcome = harness.RunSeed(committed);
-      if (outcome.failed) {
-        failed[static_cast<std::size_t>(committed)] = 1;
-      } else {
-        summaries[static_cast<std::size_t>(committed)] = std::move(outcome.summary);
-      }
-      commit(outcome.element);
-    }
-  } else {
-    // Workers render out of order; the main thread commits strictly in seed
-    // order, holding at most the out-of-order tail in memory.
-    std::atomic<int> next{0};
-    FailureLatch latch;
-    OrderedCommitQueue queue(&latch, workers);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int t = 0; t < workers; ++t) {
-      pool.emplace_back([&, t] {
-        DrainSeeds(
-            seeds, &next, &latch, spec.label, t,
-            [&] { return harness.stop_requested(); },
-            [&](int i) {
-              SeedOutcome outcome = harness.RunSeed(i);
-              if (outcome.failed) {
-                failed[static_cast<std::size_t>(i)] = 1;
-              } else {
-                summaries[static_cast<std::size_t>(i)] = std::move(outcome.summary);
-              }
-              queue.Push(i, std::move(outcome.element));
-            },
-            /*on_failure=*/[&] { queue.NotifyFailure(); });
-        queue.ProducerExited();
-      });
-    }
-    std::string element;
-    for (; committed < seeds; ++committed) {
-      if (!queue.Pop(committed, &element)) {
-        break;  // failed, or drained out before producing this seed
-      }
-      commit(element);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-    latch.RethrowIfFailed();
+    where_[static_cast<std::size_t>(index)] = {end_, element.size()};
+    end_ += static_cast<long>(element.size());
   }
 
-  // Close a valid (possibly partial) document either way: aggregates fold
-  // over exactly the seeds that made it into the runs array.
-  std::vector<std::vector<double>> folded;
-  folded.reserve(static_cast<std::size_t>(committed));
-  for (int i = 0; i < committed; ++i) {
-    if (failed[static_cast<std::size_t>(i)] == 0) {
-      folded.push_back(std::move(summaries[static_cast<std::size_t>(i)]));
+ private:
+  Mutex mu_;
+  std::FILE* const file_ BR_PT_GUARDED_BY(mu_);
+  long end_ BR_GUARDED_BY(mu_) = 0;
+  // (offset, length) of each seed's element inside the spill.
+  std::vector<std::pair<long, std::size_t>> where_ BR_GUARDED_BY(mu_);
+};
+
+class MemoryStore : public RunStore {
+ public:
+  explicit MemoryStore(int seeds) : RunStore(seeds), elements_(static_cast<std::size_t>(seeds)) {}
+
+  bool WriteRuns(OutputSink* sink) override {
+    for (int i = 0; i < seeds(); ++i) {
+      if (!failed(i)) {
+        sink->WriteRun(elements_[static_cast<std::size_t>(i)]);
+      }
+    }
+    return true;
+  }
+
+ protected:
+  void Keep(int index, bool /*failed*/, std::string element) override {
+    elements_[static_cast<std::size_t>(index)] = std::move(element);
+  }
+
+ private:
+  std::vector<std::string> elements_;  // disjoint per-seed slots
+};
+
+// One worker's loop: claims seed indices off the shared ticket until they run
+// out, a worker has failed, or the harness asks for a graceful drain
+// (in-flight seeds finish, no new claims). Each claim runs under the harness
+// and lands in the store; the first exception is latched, wrapped with
+// campaign/seed/worker context.
+void DrainSeeds(const CampaignEngineSpec& spec, int worker, std::atomic<int>* next_seed,
+                FailureLatch* latch, CampaignHarness* harness, RunStore* store) {
+  for (int i = next_seed->fetch_add(1); i < spec.seeds && !latch->failed();
+       i = next_seed->fetch_add(1)) {
+    if (harness->stop_requested()) {
+      return;
+    }
+    try {
+      // Worker-occupancy span: one "seed" interval per claim on this
+      // worker's trace track, so idle gaps between seeds are visible.
+      const obs::ScopedSpan seed_span("seed", "campaign", i);
+      store->Put(i, harness->RunSeed(i));
+    } catch (const std::exception& e) {
+      latch->Capture(std::make_exception_ptr(std::runtime_error(
+          spec.label + ", seed index " + std::to_string(i) + ", worker " +
+          std::to_string(worker) + ": " + e.what())));
+      return;
+    } catch (...) {
+      latch->Capture(std::current_exception());
+      return;
     }
   }
-  sink.Write("\n  ]");
-  const std::vector<FailedRun> failures = harness.failures();
-  if (!failures.empty()) {
-    sink.Write(RenderFailedRuns(failures));
-  }
-  JsonWriter tail(/*depth=*/1, /*need_comma=*/true);
-  spec.aggregates(&tail, folded);
-  sink.Write(tail.Take());
-  sink.Write("\n}\n");
-  if (harness.stop_requested() && committed < seeds) {
-    sink.Finish();
-    return FinishInterrupted(harness, committed, seeds);
-  }
-  return FinishCompleted(&sink, failures);
 }
 
-// Buffered reference path (BYTEROBUST_STREAM_CAMPAIGN=0): every rendered
-// element held in memory, emitted in one pass. The streaming paths above must
-// be byte-identical to this (ctest cli_campaign_streaming_equivalence).
-int RunEngineBuffered(const CampaignEngineSpec& spec) {
+// The document up to the open "runs" array. The aggregate block goes here
+// when every summary is known before the runs are written (spill and memory
+// stores); --stream passes null and appends it after the runs instead.
+std::string DocumentHead(const CampaignEngineSpec& spec,
+                         const std::vector<std::vector<double>>* summaries) {
+  JsonWriter head;
+  head.BeginObject();
+  spec.header_fields(&head);
+  if (summaries != nullptr) {
+    spec.aggregates(&head, *summaries);
+  }
+  head.Key("runs");
+  head.BeginArray();
+  return head.Take();
+}
+
+// Reports a graceful interrupt: a stderr note and kExitInterrupted.
+int FinishInterrupted(const CampaignHarness& harness, int settled, int seeds) {
+  std::fprintf(stderr, "note: campaign interrupted after %d of %d seeds%s\n", settled, seeds,
+               harness.ResumeHint().c_str());
+  return kExitInterrupted;
+}
+
+int RunEngine(const CampaignEngineSpec& spec) {
   const int seeds = spec.seeds;
   CampaignHarness harness(spec);
   OutputSink sink(spec.out_path, spec.capture);
   if (!sink.ok()) {
     return sink.Finish();  // fail fast: --out unwritable, nothing simulated
   }
-  std::vector<SeedOutcome> outcomes(static_cast<std::size_t>(seeds));
-  std::atomic<int> next{0};
-  std::atomic<int> processed{0};
-  FailureLatch latch;
-  const auto worker = [&](int w) {
-    DrainSeeds(seeds, &next, &latch, spec.label, w,
-               [&] { return harness.stop_requested(); }, [&](int i) {
-                 outcomes[static_cast<std::size_t>(i)] = harness.RunSeed(i);
-                 processed.fetch_add(1, std::memory_order_relaxed);
-               });
-  };
-  const int workers = std::max(1, std::min(spec.jobs, seeds));
-  RunWorkerPool(workers, /*caller_participates=*/true, worker);
-  latch.RethrowIfFailed();
-  if (harness.stop_requested() && processed.load(std::memory_order_relaxed) < seeds) {
-    return FinishInterrupted(harness, processed.load(std::memory_order_relaxed), seeds);
+  std::unique_ptr<RunStore> store;
+  if (spec.stream) {
+    store = std::make_unique<OrderedStore>(seeds, &sink);
+    sink.Write(DocumentHead(spec, nullptr));
+  } else if (StreamCampaignEnabled()) {
+    auto spill = std::make_unique<SpillStore>(seeds);
+    if (!spill->ok()) {
+      std::fprintf(stderr, "error: could not create campaign spill file\n");
+      return kExitIoError;
+    }
+    store = std::move(spill);
+  } else {
+    store = std::make_unique<MemoryStore>(seeds);
   }
 
-  std::vector<std::vector<double>> summaries;
-  summaries.reserve(outcomes.size());
-  for (const SeedOutcome& o : outcomes) {
-    if (!o.failed) {
-      summaries.push_back(o.summary);
-    }
+  std::atomic<int> next{0};
+  FailureLatch latch;
+  RunWorkerPool(std::max(1, std::min(spec.jobs, seeds)), [&](int worker) {
+    DrainSeeds(spec, worker, &next, &latch, &harness, store.get());
+  });
+  latch.RethrowIfFailed();
+
+  const int settled = store->Settled();
+  const bool interrupted = harness.stop_requested() && settled < seeds;
+  if (interrupted && !spec.stream) {
+    // Nothing merged: the journal (not a half-document) is the restart
+    // artifact. --stream instead closes a valid partial document below.
+    return FinishInterrupted(harness, settled, seeds);
   }
-  JsonWriter header;
-  header.BeginObject();
-  spec.header_fields(&header);
-  spec.aggregates(&header, summaries);
-  header.Key("runs");
-  header.BeginArray();
-  sink.Write(header.Take());
-  int emitted = 0;
-  for (int i = 0; i < seeds; ++i) {
-    if (outcomes[static_cast<std::size_t>(i)].failed) {
-      continue;
+  const std::vector<std::vector<double>> summaries = store->TakeSummaries(settled);
+  if (!spec.stream) {
+    sink.Write(DocumentHead(spec, &summaries));
+    if (!store->WriteRuns(&sink)) {
+      return kExitIoError;
     }
-    if (emitted++ > 0) {
-      sink.Write(",");
-    }
-    sink.Write(outcomes[static_cast<std::size_t>(i)].element);
   }
   sink.Write("\n  ]");
   const std::vector<FailedRun> failures = harness.failures();
   if (!failures.empty()) {
     sink.Write(RenderFailedRuns(failures));
   }
+  if (spec.stream) {
+    // The aggregate block needs every seed, so --stream writes it last; its
+    // values are identical to the default layout's.
+    JsonWriter tail(/*depth=*/1, /*need_comma=*/true);
+    spec.aggregates(&tail, summaries);
+    sink.Write(tail.Take());
+  }
   sink.Write("\n}\n");
-  return FinishCompleted(&sink, failures);
+  const int io = sink.Finish();
+  if (interrupted) {
+    return FinishInterrupted(harness, settled, seeds);
+  }
+  if (io != kExitOk) {
+    return io;
+  }
+  // Quarantined seeds map to the distinct completed-with-failures code.
+  return failures.empty() ? kExitOk : kExitQuarantine;
 }
 
 }  // namespace
 
 int RunCampaignEngine(const CampaignEngineSpec& spec, std::string* setup_error) {
   try {
-    if (spec.stream) {
-      return RunEngineDirectStreaming(spec);
-    }
-    if (StreamCampaignEnabled()) {
-      return RunEngineSpillStreaming(spec);
-    }
-    return RunEngineBuffered(spec);
+    return RunEngine(spec);
   } catch (const EngineSetupError& e) {
     if (setup_error != nullptr) {
       *setup_error = e.what();

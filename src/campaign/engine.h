@@ -1,10 +1,15 @@
-// Campaign engine: the seed-parallel worker pool and streaming merger shared
-// by the `campaign` and `fleet` CLI subcommands and by the `serve` daemon. It
-// is generic over the per-seed runner (one RunResult per seed, or a whole
-// multi-job fleet per seed) and over the output target (stdout/--out for the
-// CLI, an in-memory capture string for serve responses), and every path is
-// byte-identical for the same request: across --jobs values, across the
-// spill/direct/buffered layouts, and across an interrupt + journal resume.
+// Campaign engine: the seed-parallel worker pool shared by the `campaign` and
+// `fleet` CLI subcommands and by the `serve` daemon. It is generic over the
+// per-seed runner (one RunResult per seed, or a whole multi-job fleet per
+// seed) and over the output target (stdout/--out for the CLI, an in-memory
+// capture string for serve responses). One engine body runs every request;
+// the only choice is where finished runs wait before they are written: an
+// ordered store that writes the ready prefix as it completes (--stream and
+// every serve request), a spill tmpfile read back in seed order (the
+// default), or memory (BYTEROBUST_STREAM_CAMPAIGN=0, the byte-identity
+// reference). Output is byte-identical for the same request across --jobs
+// values, across the spill and memory stores, and across an interrupt +
+// journal resume.
 //
 // Campaigns run under the src/harness fault-tolerance layer: every seed is
 // supervised (watchdog + deterministic retry/backoff), persistently failing
@@ -91,16 +96,10 @@ struct Aggregate {
 
 void WriteAggregate(JsonWriter* w, const std::string& key, const Aggregate& a);
 
-// Seed-order fold over one summary slot, shared by the buffered and
-// streaming paths — one implementation, so byte-identity cannot drift.
+// Seed-order fold over one summary slot: the aggregate callbacks of every
+// command fold through it, whichever store held the runs, so byte-identity
+// cannot drift.
 Aggregate FoldAggregateAt(const std::vector<std::vector<double>>& summaries, std::size_t slot);
-
-// BYTEROBUST_STREAM_CAMPAIGN=0 pins the buffered reference path (all
-// RunResults held in memory before emission) so the streaming merger can be
-// byte-compared against it. The default streams per-seed JSON through
-// per-worker spill files, bounding campaign memory at O(window) per worker
-// regardless of --seeds.
-bool StreamCampaignEnabled();
 
 // Runs the campaign and returns the process exit code (src/harness/
 // exit_codes.h). A setup-stage failure returns kExitUsage: the message goes

@@ -24,8 +24,8 @@
 //
 // Annotations attach to class members and globals, not function locals, so
 // worker-pool state shared via lambda captures must be hoisted into a small
-// struct/class for the analysis to see it (see the campaign engine in
-// tools/byterobust_cli.cc).
+// struct/class for the analysis to see it (see the run stores in
+// src/campaign/engine.cc).
 
 #ifndef SRC_COMMON_SYNC_H_
 #define SRC_COMMON_SYNC_H_

@@ -1,13 +1,14 @@
-# ctest helper: the streaming campaign paths must be observably equivalent to
-# the buffered reference path (BYTEROBUST_STREAM_CAMPAIGN=0):
-#   - spill streaming (the default), at --jobs 1 and --jobs 4, must emit
-#     byte-identical JSON to the buffered path;
+# ctest helper: the campaign engine's streaming run stores must be
+# observably equivalent to its memory store (BYTEROBUST_STREAM_CAMPAIGN=0),
+# the byte-identity reference:
+#   - the spill store (the default), at --jobs 1 and --jobs 4, must emit
+#     byte-identical JSON to the memory store;
 #   - windowed metric compaction (the default 2 h retention) must emit
 #     byte-identical JSON to the unbounded tracker (BYTEROBUST_METRIC_WINDOW=0);
-#   - --stream (incremental layout, aggregate trailing) must carry the exact
-#     same runs and aggregate values as the reference layout — compared as
-#     parsed JSON when python3 is available, with a structural fallback
-#     (every seed present + aggregate block) otherwise.
+#   - --stream (the ordered store: incremental layout, aggregate trailing)
+#     must carry the exact same runs and aggregate values as the reference
+#     layout — compared as parsed JSON when python3 is available, with a
+#     structural fallback (every seed present + aggregate block) otherwise.
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_campaign_streaming.cmake
 

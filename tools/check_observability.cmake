@@ -3,7 +3,7 @@
 # BYTEROBUST_TRACE) enabled vs. disabled — across all three campaign output
 # paths (buffered, spill streaming, --stream) at --jobs 1 and 8 — and every
 # emitted trace must pass tools/trace_validate.py (balanced B/E spans,
-# monotone per-track timestamps). Dashboards must themselves be
+# monotone per-track timestamps) and hold exactly one "seed" span per seed. Dashboards must themselves be
 # byte-identical across --jobs and output paths (they sample the simulation,
 # not the scheduler).
 #
@@ -33,8 +33,10 @@ function(validate_trace trace)
   endif()
 endfunction()
 
-set(campaign_cmd "campaign;--scenario;quickstart;--seeds;3;--days;0.1")
-set(fleet_cmd "fleet;--scenario;fleet-mixed;--seeds;2")
+set(campaign_seeds 3)
+set(fleet_seeds 2)
+set(campaign_cmd "campaign;--scenario;quickstart;--seeds;${campaign_seeds};--days;0.1")
+set(fleet_cmd "fleet;--scenario;fleet-mixed;--seeds;${fleet_seeds}")
 
 # Clean references for both document layouts, per command.
 foreach(kind campaign fleet)
@@ -87,6 +89,15 @@ foreach(kind campaign fleet)
             "${kind} output (${path}, --jobs ${jobs}) changed with observability on")
       endif()
       validate_trace(${WORK_DIR}/trace_${tag}.json)
+      # Every path runs its seeds through the same worker loop: exactly one
+      # "seed" occupancy span per seed, whatever the path and --jobs.
+      file(STRINGS ${WORK_DIR}/trace_${tag}.json seed_spans
+          REGEX "\"ph\":\"B\",.*\"name\":\"seed\",")
+      list(LENGTH seed_spans seed_span_count)
+      if(NOT seed_span_count EQUAL ${kind}_seeds)
+        message(FATAL_ERROR "${kind} trace (${path}, --jobs ${jobs}) holds "
+            "${seed_span_count} seed spans, expected ${${kind}_seeds}")
+      endif()
       if(first_dash STREQUAL "")
         set(first_dash ${WORK_DIR}/dash_${tag}.json)
       else()
