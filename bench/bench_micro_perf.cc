@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the reproduction:
-// event dispatch, the training step loop, stack aggregation, topology
-// queries, backup planning, dual-phase replay, and one end-to-end campaign
-// seed. These bound the simulation cost of campaign benches.
+// event dispatch, the training step loop (bare and with the system's step
+// fan-out), stack aggregation, topology queries, backup planning, dual-phase
+// replay, and one end-to-end campaign seed. These bound the simulation cost
+// of campaign benches.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 
 #include "src/analyzer/aggregation.h"
 #include "src/ckpt/backup_strategy.h"
+#include "src/core/byterobust_system.h"
 #include "src/core/production_presets.h"
 #include "src/core/scenario.h"
 #include "src/faults/domain_injector.h"
@@ -71,6 +73,38 @@ void BM_TrainJobStepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * steps);
 }
 BENCHMARK(BM_TrainJobStepLoop)->Arg(10000)->Arg(100000);
+
+// The healthy step with the full per-step fan-out wired (metric rules,
+// checkpoint saves, ETTR and MFU ledgers): a fault-free quickstart system
+// (16 machines, 10 s steps) for one simulated day, system setup included.
+// BM_TrainJobStepLoop attaches only a trivial observer; this is what every
+// step of a campaign pays between incidents.
+void BM_SystemHealthyStep(benchmark::State& state) {
+  SystemConfig config;
+  config.job.name = "bench-healthy-step";
+  config.job.model_params_b = 7.0;
+  config.job.parallelism.tp = 2;
+  config.job.parallelism.pp = 4;
+  config.job.parallelism.dp = 4;
+  config.job.parallelism.gpus_per_machine = 2;
+  config.job.base_step_time = Seconds(10);
+  config.seed = 2024;
+  config.spare_machines = 4;
+  config.metrics_retention = Hours(2);
+  constexpr std::int64_t kSteps = 8640;  // one day of 10 s steps
+  for (auto _ : state) {
+    ByteRobustSystem system(config);
+    system.Start();
+    system.sim().RunUntil(Hours(24));
+    std::int64_t steps = system.job().steps_completed();
+    benchmark::DoNotOptimize(steps);
+    if (steps != kSteps) {
+      state.SkipWithError("unexpected step count");
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps);
+}
+BENCHMARK(BM_SystemHealthyStep)->Unit(benchmark::kMillisecond);
 
 // One full dense-campaign seed (Sec. 8.1 production scenario, 9,600 GPUs) at
 // one simulated day: fault injection, monitoring, diagnosis, recovery and the

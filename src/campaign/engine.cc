@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "src/common/sync.h"
@@ -120,20 +119,6 @@ class FailureLatch {
   std::exception_ptr first_error_ BR_GUARDED_BY(mu_);
 };
 
-// Runs `body(worker_index)` on `workers` threads — the calling thread doubles
-// as worker 0, so one worker spawns no thread — and joins them all.
-void RunWorkerPool(int workers, const std::function<void(int)>& body) {
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int t = 1; t < workers; ++t) {
-    pool.emplace_back(body, t);
-  }
-  body(0);
-  for (std::thread& t : pool) {
-    t.join();
-  }
-}
-
 // Incremental output: everything goes to stdout — or the spec's capture
 // string — and (optionally) to --out, written as produced instead of
 // accumulated in one string. Construct — and check ok() — BEFORE spawning
@@ -213,7 +198,8 @@ class OutputSink {
 // --resume journal, runs fresh seeds under the SeedSupervisor (watchdog,
 // deterministic retry/backoff, self-fault-injection), journals each success,
 // and converts persistent failures into quarantine outcomes instead of
-// exceptions. Thread-safe: workers call RunSeed concurrently.
+// exceptions. Workers are the supervisor's runners (RunWorkers) and call
+// RunSeed concurrently.
 // ---------------------------------------------------------------------------
 class CampaignHarness {
  public:
@@ -266,17 +252,19 @@ class CampaignHarness {
       NoteSeedDone();
       return outcome;
     }
-    {
-      const MutexLock lock(&mu_);
-      failures_.push_back({i,
-                           spec_.identity.base_seed + static_cast<std::uint64_t>(i),
-                           failure.attempts, failure.timed_out, failure.error});
-    }
-    outcome.element.clear();
-    outcome.summary.clear();
-    outcome.failed = true;
-    NoteSeedDone();
-    return outcome;
+    return Quarantine(failure);
+  }
+
+  // Runs body(w) for w in [0, workers) on the supervisor's watched runner
+  // threads and returns once all are done. A seed whose runner the watchdog
+  // abandons is quarantined and handed to `settle` on this thread, and a
+  // fresh runner calls body(w) again.
+  void RunWorkers(int workers, const std::function<void(int)>& body,
+                  const std::function<void(int, SeedOutcome)>& settle) {
+    supervisor_->RunWorkers(
+        workers, body,
+        [&](const SeedFailure& failure) { settle(failure.index, Quarantine(failure)); },
+        /*restart=*/true);
   }
 
   bool stop_requested() const { return supervisor_->stop_requested(); }
@@ -301,6 +289,19 @@ class CampaignHarness {
   }
 
  private:
+  SeedOutcome Quarantine(const SeedFailure& failure) {
+    {
+      const MutexLock lock(&mu_);
+      failures_.push_back({failure.index,
+                           spec_.identity.base_seed + static_cast<std::uint64_t>(failure.index),
+                           failure.attempts, failure.timed_out, failure.error});
+    }
+    NoteSeedDone();
+    SeedOutcome outcome;
+    outcome.failed = true;
+    return outcome;
+  }
+
   void NoteSeedDone() {
     if (spec_.seeds_done != nullptr) {
       spec_.seeds_done->fetch_add(1, std::memory_order_relaxed);
@@ -506,6 +507,8 @@ void DrainSeeds(const CampaignEngineSpec& spec, int worker, std::atomic<int>* ne
       // worker's trace track, so idle gaps between seeds are visible.
       const obs::ScopedSpan seed_span("seed", "campaign", i);
       store->Put(i, harness->RunSeed(i));
+    } catch (const RunnerAbandoned&) {
+      throw;  // this runner was given up on; its seed is settled elsewhere
     } catch (const std::exception& e) {
       latch->Capture(std::make_exception_ptr(std::runtime_error(
           spec.label + ", seed index " + std::to_string(i) + ", worker " +
@@ -565,9 +568,16 @@ int RunEngine(const CampaignEngineSpec& spec) {
 
   std::atomic<int> next{0};
   FailureLatch latch;
-  RunWorkerPool(std::max(1, std::min(spec.jobs, seeds)), [&](int worker) {
-    DrainSeeds(spec, worker, &next, &latch, &harness, store.get());
-  });
+  harness.RunWorkers(
+      std::max(1, std::min(spec.jobs, seeds)),
+      [&](int worker) { DrainSeeds(spec, worker, &next, &latch, &harness, store.get()); },
+      [&](int i, SeedOutcome outcome) {
+        try {
+          store->Put(i, std::move(outcome));
+        } catch (...) {
+          latch.Capture(std::current_exception());
+        }
+      });
   latch.RethrowIfFailed();
 
   const int settled = store->Settled();

@@ -14,7 +14,6 @@ CheckpointManager::CheckpointManager(const CkptManagerConfig& config, Simulator*
                                      TrainJob* job)
     : config_(config), sim_(sim), job_(job), backup_plan_(SharedBackupPlan(job->topology())) {
   save_latency_ = SaveLatency();  // pure function of the (fixed) job config
-  job_->AddStepObserver([this](const StepRecord& rec) { OnStep(rec); });
 }
 
 SimDuration CheckpointManager::SaveLatency() const {

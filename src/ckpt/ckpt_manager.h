@@ -39,6 +39,10 @@ class CheckpointManager {
  public:
   CheckpointManager(const CkptManagerConfig& config, Simulator* sim, TrainJob* job);
 
+  // Starts this step's save when it falls on the save cadence. The owner
+  // wires it to TrainJob's step stream; the constructor does not.
+  void OnStep(const StepRecord& record);
+
   // The step to resume from after a failure: one past the newest durable
   // completed step (0 when nothing durable exists yet).
   std::int64_t RestorableResumeStep() const {
@@ -80,7 +84,6 @@ class CheckpointManager {
     SimTime complete_time;
   };
 
-  void OnStep(const StepRecord& record);
   // Saves become durable in FIFO order at a deterministic latency, so instead
   // of scheduling one simulator event per save (which would cap the batched
   // step loop at the save latency and cost O(steps) event traffic), completed

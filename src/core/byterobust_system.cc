@@ -45,7 +45,11 @@ void ByteRobustSystem::WireComponents(SimTime ettr_origin) {
       spares_, hot_updates_.get(), ckpt_.get(), root.Fork());
   ettr_ = std::make_unique<EttrTracker>(ettr_origin, config_.metrics_retention);
   mfu_series_.SetRetention(config_.metrics_retention);
+  // The one per-step fan-out, in a fixed order: metric rules, checkpoint
+  // saves, then the ETTR and MFU ledgers.
   job_->AddStepObserver([this](const StepRecord& rec) {
+    monitor_->OnStepRecord(rec);
+    ckpt_->OnStep(rec);
     ettr_->OnStep(rec);
     mfu_series_.OnStep(rec);
   });

@@ -3,6 +3,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -166,6 +169,186 @@ void InjectHarnessFault(const HarnessFaultSpec& faults, std::uint64_t seed,
     throw SeedCancelledError("injected hang on seed index " + std::to_string(index) +
                              " (attempt " + std::to_string(attempt) +
                              ") cancelled by watchdog");
+  }
+}
+
+namespace harness_internal {
+namespace {
+
+// What the watchdog knows about one runner thread.
+struct RunnerSlot {
+  int worker = 0;
+  int index = -1;  // seed of the attempt in flight; -1 between attempts
+  int attempt = 0;
+  double start = 0.0;  // WallSeconds() when the attempt began
+  double deadline_s = 0.0;
+  std::shared_ptr<std::atomic<bool>> cancel;
+  bool cancelled = false;
+  bool abandoned = false;
+  bool finished = false;  // the runner's body returned
+};
+
+// Shared by the watchdog and its runners; heap-allocated so an abandoned
+// runner never touches a dead frame.
+struct WatchState {
+  Mutex mu;
+  CondVar cv;  // wakes the watchdog
+  std::vector<RunnerSlot> slots BR_GUARDED_BY(mu);
+  double wake_at BR_GUARDED_BY(mu) = 0.0;  // when the watchdog next wakes by itself
+};
+
+// The watchdog and slot of the runner on this thread; empty elsewhere.
+struct RunnerContext {
+  WatchState* watch = nullptr;
+  std::size_t slot = 0;
+};
+thread_local RunnerContext t_runner;
+
+// A runner's whole life. Its std::thread holds a reference to the watch
+// state, so an abandoned runner that unwinds late still exits through live
+// memory.
+void RunnerMain(const std::shared_ptr<WatchState>& watch, std::size_t slot,
+                const std::function<void(int)>* body, int worker) {
+  t_runner = RunnerContext{watch.get(), slot};
+  try {
+    (*body)(worker);
+  } catch (const RunnerAbandoned&) {
+    return;  // the watchdog has settled this runner's seed and moved on
+  }
+  const MutexLock lock(&watch->mu);
+  watch->slots[slot].finished = true;
+  watch->cv.NotifyOne();
+}
+
+}  // namespace
+
+bool OnWatchedRunner() { return t_runner.watch != nullptr; }
+
+CancelToken BeginAttempt(int index, int attempt, double deadline_s, double* start) {
+  auto cancel = std::make_shared<std::atomic<bool>>(false);
+  WatchState* watch = t_runner.watch;
+  const MutexLock lock(&watch->mu);
+  RunnerSlot& slot = watch->slots[t_runner.slot];
+  slot.index = index;
+  slot.attempt = attempt;
+  slot.start = *start = WallSeconds();
+  slot.deadline_s = deadline_s;
+  slot.cancel = cancel;
+  slot.cancelled = false;
+  if (slot.start + deadline_s < watch->wake_at) {
+    watch->cv.NotifyOne();  // due before the watchdog would next look
+  }
+  return CancelToken(std::move(cancel));
+}
+
+bool EndAttempt() {
+  WatchState* watch = t_runner.watch;
+  const MutexLock lock(&watch->mu);
+  RunnerSlot& slot = watch->slots[t_runner.slot];
+  if (slot.abandoned) {
+    return false;
+  }
+  slot.index = -1;
+  slot.cancel.reset();
+  return true;
+}
+
+}  // namespace harness_internal
+
+void SeedSupervisor::RunWorkers(int workers, const std::function<void(int)>& body,
+                                const std::function<void(const SeedFailure&)>& on_abandon,
+                                bool restart) {
+  using harness_internal::RunnerSlot;
+  using harness_internal::WatchState;
+  static obs::Counter* const watchdog_counter =
+      obs::GlobalMetrics().GetCounter("harness.watchdog_fires");
+  static obs::Counter* const quarantine_counter =
+      obs::GlobalMetrics().GetCounter("harness.quarantines");
+  const auto watch = std::make_shared<WatchState>();
+  std::vector<std::thread> runners;  // runners[s] serves watch->slots[s]
+  const auto launch = [&](int worker) {
+    std::size_t slot = 0;
+    {
+      const MutexLock lock(&watch->mu);
+      slot = watch->slots.size();
+      watch->slots.push_back(RunnerSlot{});
+      watch->slots.back().worker = worker;
+    }
+    runners.emplace_back(harness_internal::RunnerMain, watch, slot, &body, worker);
+  };
+  for (int w = 0; w < workers; ++w) {
+    launch(w);
+  }
+
+  for (;;) {
+    std::vector<RunnerSlot> abandoned;
+    {
+      const MutexLock lock(&watch->mu);
+      const double now = WallSeconds();
+      double wake_at = std::numeric_limits<double>::infinity();
+      bool running = false;
+      for (std::size_t s = 0; s < watch->slots.size(); ++s) {
+        RunnerSlot& slot = watch->slots[s];
+        if (slot.finished || slot.abandoned) {
+          continue;
+        }
+        running = true;
+        if (slot.index < 0) {
+          continue;
+        }
+        const double cancel_at = slot.start + slot.deadline_s;
+        if (!slot.cancelled) {
+          if (now < cancel_at) {
+            wake_at = std::min(wake_at, cancel_at);
+            continue;
+          }
+          slot.cancelled = true;
+          slot.cancel->store(true, std::memory_order_relaxed);
+          watchdog_counter->Add();
+          obs::TraceInstantArg("watchdog_fire", "harness", slot.index);
+        }
+        const double abandon_at = cancel_at + config_.cancel_grace_s;
+        if (now < abandon_at) {
+          wake_at = std::min(wake_at, abandon_at);
+          continue;
+        }
+        slot.abandoned = true;
+        runners[s].detach();
+        abandoned.push_back(slot);
+      }
+      if (!running) {
+        break;
+      }
+      if (abandoned.empty()) {
+        watch->wake_at = wake_at;
+        if (wake_at == std::numeric_limits<double>::infinity()) {
+          watch->cv.Wait(&watch->mu);
+        } else {
+          watch->cv.WaitFor(&watch->mu, wake_at - now);
+        }
+        continue;
+      }
+    }
+    // Non-cooperative hang: quarantine without retrying — a deterministic
+    // hang would only hang again.
+    for (const RunnerSlot& slot : abandoned) {
+      quarantine_counter->Add();
+      obs::TraceInstantArg("seed_quarantine", "harness", slot.index);
+      SeedFailure failure;
+      failure.index = slot.index;
+      failure.attempts = slot.attempt;
+      failure.timed_out = true;
+      failure.error = WatchdogMessage(slot.deadline_s);
+      on_abandon(failure);
+      if (restart) {
+        launch(slot.worker);
+      }
+    }
+  }
+  for (std::thread& runner : runners) {
+    if (runner.joinable()) {
+      runner.join();
+    }
   }
 }
 

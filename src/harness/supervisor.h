@@ -2,15 +2,19 @@
 // bounded, deterministically-jittered retries, and quarantines seeds that
 // keep failing instead of aborting the campaign.
 //
-// Supervision model: every attempt runs on its own thread with everything it
-// needs copied by value, plus a cooperative CancelToken. When the watchdog
-// deadline passes, the supervisor cancels the token and grants a short grace
-// period; a worker that yields (throws SeedCancelledError) is a transient
-// timeout and is retried, while a worker that never yields is abandoned via
-// detach() — it can no longer touch any live frame — and the seed is
-// quarantined immediately, because a deterministic hang would only hang
-// again. A seed that completes successfully after cancellation is accepted:
-// timing must never change output bytes.
+// Supervision model: seeds run on runner threads started by RunWorkers(),
+// and each attempt runs inline on its runner with a cooperative CancelToken;
+// the thread that called RunWorkers() is the watchdog for all of them, so a
+// healthy seed costs no thread start and no hand-off between threads. When
+// an attempt's deadline passes, the watchdog cancels its token and grants a
+// short grace period; an attempt that yields (throws SeedCancelledError) is a
+// transient timeout and is retried, while a runner that never yields is
+// abandoned via detach() and the seed is quarantined immediately, because a
+// deterministic hang would only hang again. Should the abandoned attempt ever
+// return, its runner unwinds with RunnerAbandoned and touches nothing else;
+// a fresh runner takes over the rest of its work. A seed that completes
+// successfully after cancellation is accepted: timing must never change
+// output bytes.
 //
 // The watchdog deadline is a trailing EWMA of successful seed durations
 // scaled by `timeout_factor`, floored at `timeout_floor_s`, or pinned by
@@ -33,7 +37,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "src/common/sync.h"
@@ -66,6 +69,12 @@ class SeedCancelledError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+// Thrown out of Supervise() on a runner the watchdog has abandoned, once its
+// attempt finally returns: the seed is already quarantined, so the thread
+// unwinds and exits. Not a std::exception, and code between RunWorkers() and
+// Supervise() must let it pass (the campaign engine's worker loop rethrows it).
+struct RunnerAbandoned {};
 
 // Thrown by the self-fault-injection layer.
 class InjectedFaultError : public std::runtime_error {
@@ -129,15 +138,13 @@ namespace harness_internal {
 
 enum class AttemptOutcome { kOk, kCancelled, kError };
 
-// Shared between the supervisor and one attempt thread; heap-allocated so an
-// abandoned thread's final store cannot touch a dead frame.
-struct AttemptState {
-  Mutex mu;
-  CondVar cv;
-  bool done BR_GUARDED_BY(mu) = false;
-  AttemptOutcome outcome BR_GUARDED_BY(mu) = AttemptOutcome::kOk;
-  std::string error BR_GUARDED_BY(mu);
-};
+// True on a thread started by SeedSupervisor::RunWorkers().
+bool OnWatchedRunner();
+// Registers the attempt about to run on this runner with the watchdog and
+// returns its token; *start receives the attempt's start time.
+CancelToken BeginAttempt(int index, int attempt, double deadline_s, double* start);
+// Ends the attempt; false when the watchdog abandoned this runner meanwhile.
+bool EndAttempt();
 
 }  // namespace harness_internal
 
@@ -153,9 +160,18 @@ class SeedSupervisor {
   SeedSupervisor(const SeedSupervisor&) = delete;
   SeedSupervisor& operator=(const SeedSupervisor&) = delete;
 
+  // Runs body(w) for w in [0, workers) on one runner thread each and watches
+  // every attempt their Supervise() calls make, until all bodies return.
+  // When the watchdog abandons a runner, `on_abandon` receives the
+  // quarantined seed on this thread, and with `restart` a fresh runner calls
+  // body(w) again (a body that claims work from a shared queue carries on).
+  void RunWorkers(int workers, const std::function<void(int)>& body,
+                  const std::function<void(const SeedFailure&)>& on_abandon, bool restart);
+
   // Runs `fn` for seed `index` under watchdog + retry. True: *result holds
   // the successful attempt's value. False: the seed is quarantined and
-  // *failure says why. Safe to call from many worker threads at once.
+  // *failure says why. Safe to call from many runners at once; called from
+  // any other thread, it runs the seed on a runner of its own.
   template <typename Result>
   bool Supervise(int index, std::function<Result(const CancelToken&)> fn,
                  Result* result, SeedFailure* failure);
@@ -187,7 +203,13 @@ bool SeedSupervisor::Supervise(int index,
                                std::function<Result(const CancelToken&)> fn,
                                Result* result, SeedFailure* failure) {
   using harness_internal::AttemptOutcome;
-  using harness_internal::AttemptState;
+  if (!harness_internal::OnWatchedRunner()) {
+    bool ok = false;
+    RunWorkers(
+        1, [&](int) { ok = Supervise(index, std::move(fn), result, failure); },
+        [failure](const SeedFailure& abandoned) { *failure = abandoned; }, /*restart=*/false);
+    return ok;
+  }
   // Observability side channel (src/obs): counters + trace spans for every
   // supervision event. Disabled-path cost is one relaxed load per site;
   // nothing here reaches campaign output bytes.
@@ -195,8 +217,6 @@ bool SeedSupervisor::Supervise(int index,
       obs::GlobalMetrics().GetCounter("harness.attempts");
   static obs::Counter* const retries_counter =
       obs::GlobalMetrics().GetCounter("harness.retries");
-  static obs::Counter* const watchdog_counter =
-      obs::GlobalMetrics().GetCounter("harness.watchdog_fires");
   static obs::Counter* const quarantine_counter =
       obs::GlobalMetrics().GetCounter("harness.quarantines");
   const int max_attempts = std::max(1, config_.max_attempts);
@@ -211,89 +231,31 @@ bool SeedSupervisor::Supervise(int index,
     }
     attempts_counter->Add();
     const obs::ScopedSpan attempt_span("seed_attempt", "harness", index);
-    auto shared = std::make_shared<AttemptState>();
-    auto slot = std::make_shared<Result>();
-    auto cancel = std::make_shared<std::atomic<bool>>(false);
-    const CancelToken token(cancel);
-    // The attempt closure copies everything by value: once detach()ed it
-    // must never reference the supervisor, the caller, or this frame.
-    const HarnessFaultSpec faults = config_.faults;
-    const std::uint64_t seed = config_.seed;
-    std::thread worker([fn, token, shared, slot, faults, seed, index, attempt] {
-      AttemptOutcome outcome = AttemptOutcome::kOk;
-      std::string error;
-      try {
-        InjectHarnessFault(faults, seed, index, attempt, token);
-        *slot = fn(token);
-      } catch (const SeedCancelledError& e) {
-        outcome = AttemptOutcome::kCancelled;
-        error = e.what();
-      } catch (const std::exception& e) {
-        outcome = AttemptOutcome::kError;
-        error = e.what();
-      } catch (...) {
-        outcome = AttemptOutcome::kError;
-        error = "unknown exception";
-      }
-      const MutexLock lock(&shared->mu);
-      shared->done = true;
-      shared->outcome = outcome;
-      shared->error = std::move(error);
-      shared->cv.NotifyAll();
-    });
-    const double deadline_s = AttemptTimeoutS();
-    const double start = WallSeconds();
-    bool done = false;
-    {
-      const MutexLock lock(&shared->mu);
-      while (!shared->done) {
-        const double remaining = deadline_s - (WallSeconds() - start);
-        if (remaining <= 0.0) {
-          break;
-        }
-        shared->cv.WaitFor(&shared->mu, remaining);
-      }
-      done = shared->done;
-    }
-    if (!done) {
-      watchdog_counter->Add();
-      obs::TraceInstantArg("watchdog_fire", "harness", index);
-      cancel->store(true, std::memory_order_relaxed);
-      const MutexLock lock(&shared->mu);
-      while (!shared->done) {
-        const double grace_left =
-            (start + deadline_s + config_.cancel_grace_s) - WallSeconds();
-        if (grace_left <= 0.0) {
-          break;
-        }
-        shared->cv.WaitFor(&shared->mu, grace_left);
-      }
-      done = shared->done;
-    }
-    if (!done) {
-      // Non-cooperative hang: abandon the thread (it owns only heap state via
-      // shared_ptr) and quarantine without retrying — a deterministic hang
-      // would only hang again.
-      worker.detach();
-      quarantine_counter->Add();
-      obs::TraceInstantArg("seed_quarantine", "harness", index);
-      failure->index = index;
-      failure->attempts = attempt;
-      failure->timed_out = true;
-      failure->error = WatchdogMessage(deadline_s);
-      return false;
-    }
-    worker.join();
-    AttemptOutcome outcome;
+    double start = 0.0;
+    const CancelToken token =
+        harness_internal::BeginAttempt(index, attempt, AttemptTimeoutS(), &start);
+    Result value{};
+    AttemptOutcome outcome = AttemptOutcome::kOk;
     std::string error;
-    {
-      const MutexLock lock(&shared->mu);
-      outcome = shared->outcome;
-      error = shared->error;
+    try {
+      InjectHarnessFault(config_.faults, config_.seed, index, attempt, token);
+      value = fn(token);
+    } catch (const SeedCancelledError& e) {
+      outcome = AttemptOutcome::kCancelled;
+      error = e.what();
+    } catch (const std::exception& e) {
+      outcome = AttemptOutcome::kError;
+      error = e.what();
+    } catch (...) {
+      outcome = AttemptOutcome::kError;
+      error = "unknown exception";
+    }
+    if (!harness_internal::EndAttempt()) {
+      throw RunnerAbandoned();  // the watchdog has quarantined this seed
     }
     if (outcome == AttemptOutcome::kOk) {
       NoteDuration(WallSeconds() - start);
-      *result = std::move(*slot);
+      *result = std::move(value);
       return true;
     }
     last_timed_out = outcome == AttemptOutcome::kCancelled;

@@ -17,8 +17,8 @@ namespace byterobust {
 enum class AnomalySource {
   kInspection,   // system-inspection thread hit (network / GPU / host item)
   kCrashLog,     // error messages / exit codes in stdout+stderr
-  kMetricNan,    // NaN loss or gradient norm
-  kMetricSpike,  // >= 5x jump in loss / grad norm
+  kMetricNan,    // NaN loss
+  kMetricSpike,  // loss above spike_factor (5x) x the trailing median
   kHangSuspect,  // no training progress within the hang threshold
   kMfuDecline,   // sustained MFU drop without a fail-stop
 };

@@ -1,11 +1,10 @@
 // Training-metric anomaly rules (paper Sec. 4.1 "Metrics collection"):
-// NaN values, 5x loss / gradient-norm spikes, sustained MFU decline, and the
-// hang watchdog over progress events (zero RDMA traffic proxy).
+// NaN values, 5x loss spikes, sustained MFU decline, and the hang watchdog
+// over progress events (zero RDMA traffic proxy).
 
 #ifndef SRC_MONITOR_METRICS_RULES_H_
 #define SRC_MONITOR_METRICS_RULES_H_
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -16,7 +15,7 @@
 namespace byterobust {
 
 struct MetricsRulesConfig {
-  // Spike rule: alert when loss or grad norm exceeds `spike_factor` times the
+  // Spike rule: alert when the loss exceeds `spike_factor` times the
   // trailing-window median.
   double spike_factor = 5.0;
   int trailing_window = 32;
@@ -29,7 +28,7 @@ struct MetricsRulesConfig {
 
 class MetricsRules {
  public:
-  explicit MetricsRules(const MetricsRulesConfig& config) : config_(config) {}
+  explicit MetricsRules(const MetricsRulesConfig& config);
 
   // Feeds one completed step; returns an anomaly if a rule fires.
   std::optional<AnomalyReport> OnStep(const StepRecord& record);
@@ -38,21 +37,22 @@ class MetricsRules {
   void Reset();
 
  private:
-  // Upper median of the trailing window (the value a copy-and-sort of
-  // recent_loss_ would put at index size()/2), served in O(1) from the
-  // sorted window below.
-  double TrailingMedianLoss() const;
-
-  void MedianInsert(double value);
-  void MedianErase(double value);
+  // True when `loss` exceeds spike_factor x the upper median of the window
+  // (the value a sort of the window would put at index size() / 2).
+  bool IsSpike(double loss);
+  void ClearWindow();
 
   MetricsRulesConfig config_;
-  std::deque<double> recent_loss_;  // insertion order, for window eviction
-  // recent_loss_ kept in sorted order. The window is small (32 by default),
-  // so a flat vector with memmove-style insert/erase beats per-node
-  // allocating tree structures on the per-step hot path while serving the
-  // median as sorted_loss_[size() / 2].
-  std::vector<double> sorted_loss_;
+  // The last `trailing_window` losses, oldest overwritten first.
+  std::vector<double> ring_;
+  std::vector<double> scratch_;  // nth_element workspace for the exact median
+  std::size_t size_ = 0;
+  std::size_t next_ = 0;
+  // Minimum loss pushed since the last clear: a lower bound on every window
+  // entry, hence on the median. While loss <= spike_factor * lower_ (and
+  // lower_ > 0) no spike is possible, so the median is only taken when that
+  // cheap test fails.
+  double lower_ = 0.0;
   double mfu_high_water_ = 0.0;
   int decline_run_ = 0;
 };

@@ -49,7 +49,6 @@ Monitor::Monitor(const MonitorConfig& config, Simulator* sim, Cluster* cluster, 
       job_(job),
       quiescent_(config.quiescent && QuiescentMonitorEnvEnabled()),
       rules_(config.metrics) {
-  job_->AddStepObserver([this](const StepRecord& rec) { OnStepRecord(rec); });
   job_->AddStateObserver([this](JobRunState state) { OnJobStateChange(state); });
 }
 

@@ -73,6 +73,10 @@ class Monitor {
   // controller restarts the job.
   void OnJobRestart();
 
+  // Feeds one completed step to the metric rules (no-op while stopped). The
+  // owner wires it to TrainJob's step stream; the constructor does not.
+  void OnStepRecord(const StepRecord& record);
+
   // Number of anomaly reports emitted.
   std::uint64_t reports_emitted() const { return reports_emitted_; }
 
@@ -82,7 +86,6 @@ class Monitor {
 
   void RunInspectionPass(InspectionCategory category);
   void RunWatchdog();
-  void OnStepRecord(const StepRecord& record);
   void OnJobStateChange(JobRunState state);
   void Emit(AnomalyReport report);
 

@@ -27,12 +27,8 @@ double LossModel::LossAt(std::int64_t step) const {
 }
 
 double LossModel::GradNormAt(std::int64_t step) const {
-  return GradNormFromLoss(step, LossAt(step));
-}
-
-double LossModel::GradNormFromLoss(std::int64_t step, double loss) const {
   // Gradient norm roughly tracks the loss slope; keep it simple and positive.
-  return 0.5 + 0.1 * loss * (1.0 + 0.05 * NoiseAt(step + 1));
+  return 0.5 + 0.1 * LossAt(step) * (1.0 + 0.05 * NoiseAt(step + 1));
 }
 
 }  // namespace byterobust

@@ -20,12 +20,9 @@ class LossModel {
   // Loss at a given global step. Pure function: same step => same value.
   double LossAt(std::int64_t step) const;
 
-  // Gradient norm proxy at a step (used by the monitor's 5x-spike rule).
+  // Gradient norm proxy at a step (for loss/grad-norm curves; the monitor's
+  // rules read only the loss).
   double GradNormAt(std::int64_t step) const;
-
-  // Same as GradNormAt for callers that already hold LossAt(step): skips the
-  // redundant power-law evaluation on the per-step hot path.
-  double GradNormFromLoss(std::int64_t step, double loss) const;
 
  private:
   // Deterministic per-step noise in [-1, 1].

@@ -165,7 +165,6 @@ void TrainJob::FinishOneStep() {
   rec.mfu = CurrentMfu();
   rec.is_nan = nan_loss_;
   rec.loss = nan_loss_ ? std::nan("") : loss_.LossAt(rec.step);
-  rec.grad_norm = nan_loss_ ? std::nan("") : loss_.GradNormFromLoss(rec.step, rec.loss);
   rec.recompute = rec.step < max_step_reached_;
   rec.run_id = run_count_;
 

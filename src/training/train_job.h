@@ -34,8 +34,7 @@ struct StepRecord {
   SimTime end = 0;
   double mfu = 0.0;
   double loss = 0.0;
-  double grad_norm = 0.0;
-  bool is_nan = false;
+  bool is_nan = false;  // loss is NaN (SDC / bad data / code bug)
   bool recompute = false;  // re-doing work lost to an unsaved-progress restart
   int run_id = 0;
 };
@@ -47,7 +46,9 @@ class TrainJob {
   TrainJob(const TrainJob&) = delete;
   TrainJob& operator=(const TrainJob&) = delete;
 
-  // Observer invoked on each step completion (monitor, metrics, checkpoints).
+  // Observer invoked on each step completion. ByteRobustSystem installs one
+  // that fans out to monitor, checkpoints, ETTR and MFU; tests and benches
+  // attach their own.
   using StepObserver = std::function<void(const StepRecord&)>;
   void AddStepObserver(StepObserver observer) { observers_.push_back(std::move(observer)); }
 

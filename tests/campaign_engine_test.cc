@@ -3,7 +3,8 @@
 // with one this file builds itself from JsonWriter/WriteAggregate — no engine
 // code is shared with the expectation. Covers every run store (--stream's
 // ordered store, the default spill store, the BYTEROBUST_STREAM_CAMPAIGN=0
-// memory store) at --jobs 1/2/4/8, a quarantined seed, and interrupts.
+// memory store) at --jobs 1/2/4/8, a quarantined seed, a seed that ignores
+// the watchdog, and interrupts.
 
 #include <gtest/gtest.h>
 
@@ -219,6 +220,51 @@ TEST(CampaignEngineTest, SeedFailingEveryAttemptIsQuarantined) {
       EXPECT_EQ(run.document, expected);
     }
   }
+}
+
+// A seed that ignores the watchdog: it never looks at its token and returns
+// only when released, after its campaign (and spec) are gone, so it reads
+// nothing but these globals.
+constexpr int kHung = 2;
+std::atomic<bool> g_release_hung{false};
+std::atomic<bool> g_hung_returned{false};
+
+SeedOutcome SeedHungUntilReleased(int index) {
+  if (index == kHung) {
+    while (!g_release_hung.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    g_hung_returned.store(true);
+  }
+  return SyntheticSeed(index);
+}
+
+TEST(CampaignEngineTest, SeedIgnoringWatchdogIsQuarantinedAndOthersCarryOn) {
+  std::vector<int> survivors = Range(0, kSeeds);
+  survivors.erase(survivors.begin() + kHung);
+  const std::vector<FailedRun> failed = {
+      {kHung, kBaseSeed + kHung, /*attempts=*/1, /*timed_out=*/true,
+       "seed watchdog fired after 0.050s and the worker did not yield"}};
+  setenv("BYTEROBUST_SEED_TIMEOUT_S", "0.05", 1);
+  for (Store store : kStores) {
+    const std::string expected = ExpectedDocument(survivors, failed, store == Store::kOrdered);
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE(std::string(StoreName(store)) + " --jobs " + std::to_string(jobs));
+      g_release_hung.store(false);
+      g_hung_returned.store(false);
+      const EngineRun run = RunEngine(store, jobs, kSeeds, [](CampaignEngineSpec* spec) {
+        spec->retries_override = 2;  // a hang is not retried
+        spec->run_seed = SeedHungUntilReleased;
+      });
+      EXPECT_EQ(run.code, kExitQuarantine);
+      EXPECT_EQ(run.document, expected);
+      g_release_hung.store(true);
+      while (!g_hung_returned.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+  unsetenv("BYTEROBUST_SEED_TIMEOUT_S");
 }
 
 // Flips the spec's external stop once `after` seeds are done, from inside the

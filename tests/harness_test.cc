@@ -439,6 +439,50 @@ TEST(SeedSupervisorTest, WatchdogFiresOnlyPastDeadline) {
   EXPECT_FALSE(cancelled_seen->load());
 }
 
+TEST(SeedSupervisorTest, NonYieldingAttemptIsAbandonedWithoutRetry) {
+  SupervisorConfig config = FastConfig();
+  config.timeout_override_s = 0.05;
+  config.cancel_grace_s = 0.05;
+  SeedSupervisor supervisor(config);
+
+  // Ignores its token until the test releases it, long after the supervisor
+  // gave up on it.
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  auto returned = std::make_shared<std::atomic<bool>>(false);
+  std::string result;
+  SeedFailure failure;
+  const double start = WallSeconds();
+  const bool ok = supervisor.Supervise<std::string>(
+      3,
+      [release, returned](const CancelToken&) {
+        while (!release->load()) {
+          SleepMs(1.0);
+        }
+        returned->store(true);
+        return std::string("too late");
+      },
+      &result, &failure);
+  const double elapsed = WallSeconds() - start;
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(failure.index, 3);
+  EXPECT_EQ(failure.attempts, 1);
+  EXPECT_TRUE(failure.timed_out);
+  EXPECT_EQ(failure.error, "seed watchdog fired after 0.050s and the worker did not yield");
+  EXPECT_GE(elapsed, 0.1);  // deadline plus grace
+  EXPECT_EQ(result, "");
+
+  // The abandoned attempt's late return changes nothing, and the supervisor
+  // keeps working.
+  release->store(true);
+  while (!returned->load()) {
+    SleepMs(1.0);
+  }
+  EXPECT_EQ(result, "");
+  ASSERT_TRUE(supervisor.Supervise<std::string>(
+      4, [](const CancelToken&) { return std::string("fine"); }, &result, &failure));
+  EXPECT_EQ(result, "fine");
+}
+
 TEST(SeedSupervisorTest, TrailingEstimateScalesDeadline) {
   SupervisorConfig config = FastConfig();
   config.timeout_override_s = 0.0;

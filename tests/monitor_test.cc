@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <optional>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/monitor/monitor.h"
 
 namespace byterobust {
@@ -26,6 +31,7 @@ class MonitorTest : public ::testing::Test {
       : cluster_(4, 2, 1), job_(SmallJob(), &sim_, &cluster_, 1), monitor_(MakeConfig(), &sim_,
                                                                            &cluster_, &job_) {
     monitor_.SetAnomalyHandler([this](const AnomalyReport& r) { reports_.push_back(r); });
+    job_.AddStepObserver([this](const StepRecord& rec) { monitor_.OnStepRecord(rec); });
   }
 
   static MonitorConfig MakeConfig() {
@@ -165,7 +171,6 @@ TEST(MetricsRulesTest, SpikeRuleNeedsHistory) {
   StepRecord rec;
   rec.mfu = 0.3;
   rec.loss = 2.0;
-  rec.grad_norm = 0.5;
   // Below half the trailing window: no spike detection yet.
   for (int i = 0; i < 20; ++i) {
     rec.step = i;
@@ -182,7 +187,6 @@ TEST(MetricsRulesTest, ResetClearsBaselines) {
   StepRecord rec;
   rec.mfu = 0.3;
   rec.loss = 2.0;
-  rec.grad_norm = 0.5;
   for (int i = 0; i < 20; ++i) {
     rules.OnStep(rec);
   }
@@ -199,6 +203,178 @@ TEST(MetricsRulesTest, NanWinsOverEverything) {
   const auto report = rules.OnStep(rec);
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->source, AnomalySource::kMetricNan);
+}
+
+TEST(MetricsRulesTest, SpikeDetailNamesTheConfiguredFactor) {
+  MetricsRulesConfig cfg;
+  cfg.spike_factor = 2.5;
+  cfg.trailing_window = 2;
+  MetricsRules rules(cfg);
+  StepRecord rec;
+  rec.mfu = 0.3;
+  rec.loss = 2.0;
+  EXPECT_FALSE(rules.OnStep(rec).has_value());
+  rec.loss = 5.5;
+  const auto report = rules.OnStep(rec);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->detail, "loss spike > 2.5x trailing median");
+}
+
+// The sorted-window rules the ring + lower-bound window replaced, kept as the
+// oracle: a deque in insertion order plus the same values in a sorted vector,
+// the spike rule reading the upper median sorted[size / 2].
+class SortedWindowRules {
+ public:
+  explicit SortedWindowRules(const MetricsRulesConfig& config) : config_(config) {}
+
+  std::optional<AnomalyReport> OnStep(const StepRecord& record) {
+    AnomalyReport report;
+    report.detect_time = record.end;
+    if (record.is_nan || std::isnan(record.loss)) {
+      report.source = AnomalySource::kMetricNan;
+      report.symptom_hint = IncidentSymptom::kNanValue;
+      return report;
+    }
+    if (static_cast<int>(recent_loss_.size()) >= config_.trailing_window / 2) {
+      const double median = sorted_loss_.empty() ? 0.0 : sorted_loss_[sorted_loss_.size() / 2];
+      if (median > 0.0 && record.loss > config_.spike_factor * median) {
+        report.source = AnomalySource::kMetricSpike;
+        report.symptom_hint = IncidentSymptom::kNanValue;
+        recent_loss_.clear();
+        sorted_loss_.clear();
+        return report;
+      }
+    }
+    recent_loss_.push_back(record.loss);
+    sorted_loss_.insert(
+        std::upper_bound(sorted_loss_.begin(), sorted_loss_.end(), record.loss), record.loss);
+    while (static_cast<int>(recent_loss_.size()) > config_.trailing_window) {
+      sorted_loss_.erase(
+          std::lower_bound(sorted_loss_.begin(), sorted_loss_.end(), recent_loss_.front()));
+      recent_loss_.pop_front();
+    }
+    mfu_high_water_ = std::max(mfu_high_water_, record.mfu);
+    if (mfu_high_water_ > 0.0 && record.mfu < config_.decline_ratio * mfu_high_water_) {
+      ++decline_run_;
+      if (decline_run_ >= config_.decline_steps) {
+        decline_run_ = 0;
+        report.source = AnomalySource::kMfuDecline;
+        report.symptom_hint = IncidentSymptom::kMfuDecline;
+        return report;
+      }
+    } else {
+      decline_run_ = 0;
+    }
+    return std::nullopt;
+  }
+
+  void Reset() {
+    recent_loss_.clear();
+    sorted_loss_.clear();
+    mfu_high_water_ = 0.0;
+    decline_run_ = 0;
+  }
+
+ private:
+  MetricsRulesConfig config_;
+  std::deque<double> recent_loss_;
+  std::vector<double> sorted_loss_;
+  double mfu_high_water_ = 0.0;
+  int decline_run_ = 0;
+};
+
+enum class LossShape { kDecaying, kRising, kConstant };
+
+// Drives both implementations with one randomized stream and checks them
+// step for step. Returns how many reports fired, so callers can tell the
+// stream actually exercised the rules.
+int ExpectSameVerdicts(const MetricsRulesConfig& cfg, LossShape shape, std::uint64_t seed) {
+  MetricsRules rules(cfg);
+  SortedWindowRules oracle(cfg);
+  Rng rng(seed);
+  int fired = 0;
+  std::int64_t curve_step = 0;
+  for (int i = 0; i < 3000; ++i) {
+    if (rng.Bernoulli(0.01)) {
+      rules.Reset();
+      oracle.Reset();
+    }
+    StepRecord rec;
+    rec.step = i;
+    rec.end = Seconds(10) * (i + 1);
+    rec.mfu = rng.Bernoulli(0.05) ? 0.2 : 0.4;
+    const double noise = 1.0 + 0.05 * rng.Uniform(-1.0, 1.0);
+    switch (shape) {
+      case LossShape::kDecaying:
+        rec.loss = 1.5 + 4.0 * std::pow(1.0 + i / 100.0, -0.5) * noise;
+        break;
+      case LossShape::kRising:
+        // Rollback-like: the curve rewinds to an earlier, higher-loss step.
+        curve_step = rng.Bernoulli(0.02) ? curve_step / 4 : curve_step + 1;
+        rec.loss = 1.5 + 4.0 * std::pow(1.0 + curve_step / 50.0, -0.5) * noise;
+        break;
+      case LossShape::kConstant:
+        rec.loss = 2.0;
+        break;
+    }
+    if (rng.Bernoulli(0.03)) {
+      rec.loss *= rng.Uniform(5.0, 60.0);  // injected spike
+    }
+    if (rng.Bernoulli(0.01)) {
+      rec.is_nan = true;
+      rec.loss = std::nan("");
+    }
+    const auto expected = oracle.OnStep(rec);
+    const auto actual = rules.OnStep(rec);
+    EXPECT_EQ(actual.has_value(), expected.has_value())
+        << "step " << i << " window " << cfg.trailing_window << " factor " << cfg.spike_factor;
+    if (actual.has_value() && expected.has_value()) {
+      ++fired;
+      EXPECT_EQ(actual->source, expected->source) << "step " << i;
+      EXPECT_EQ(actual->detect_time, expected->detect_time) << "step " << i;
+    }
+  }
+  return fired;
+}
+
+TEST(MetricsRulesDifferentialTest, MatchesSortedWindowOracle) {
+  std::uint64_t seed = 1;
+  for (const int window : {0, 1, 2, 7, 32, 33}) {
+    for (const double factor : {0.5, 1.0, 1.5, 5.0, 10.0}) {
+      for (const LossShape shape : {LossShape::kDecaying, LossShape::kRising,
+                                    LossShape::kConstant}) {
+        MetricsRulesConfig cfg;
+        cfg.trailing_window = window;
+        cfg.spike_factor = factor;
+        EXPECT_GT(ExpectSameVerdicts(cfg, shape, seed++), 0);
+      }
+    }
+  }
+}
+
+// loss > spike_factor * lower but <= spike_factor * median: the lower-bound
+// test cannot rule the spike out, and the exact median must clear it.
+TEST(MetricsRulesDifferentialTest, ExactMedianFallbackDoesNotFire) {
+  MetricsRulesConfig cfg;
+  cfg.trailing_window = 7;
+  MetricsRules rules(cfg);
+  SortedWindowRules oracle(cfg);
+  StepRecord rec;
+  rec.mfu = 0.3;
+  const auto feed = [&](double loss) {
+    rec.loss = loss;
+    rec.end += Seconds(10);
+    const auto expected = oracle.OnStep(rec);
+    const auto actual = rules.OnStep(rec);
+    EXPECT_EQ(actual.has_value(), expected.has_value()) << "loss " << loss;
+    return actual.has_value();
+  };
+  EXPECT_FALSE(feed(1.0));  // lower = 1
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_FALSE(feed(10.0));  // window {1, 10 x 6}: upper median 10
+  }
+  EXPECT_FALSE(feed(20.0));  // 20 > 5 * 1 but 20 <= 5 * 10
+  EXPECT_TRUE(feed(51.0));   // 51 > 5 * 10
 }
 
 }  // namespace

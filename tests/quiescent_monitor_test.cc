@@ -35,6 +35,7 @@ struct Fixture {
         job(SmallJob(), &sim, &cluster, 1),
         monitor(MakeConfig(quiescent), &sim, &cluster, &job) {
     monitor.SetAnomalyHandler([this](const AnomalyReport& r) { reports.push_back(r); });
+    job.AddStepObserver([this](const StepRecord& rec) { monitor.OnStepRecord(rec); });
   }
 
   Simulator sim;

@@ -22,12 +22,13 @@ the numbers themselves); otherwise every benchmark present in both files.
 
 With --cli, the baseline's RSS gates are also enforced: the given byterobust
 binary runs each recorded streaming-campaign command ("rss_gates" list, or
-the legacy single "rss_gate" object) and the child's peak RSS must stay under
-that gate's max_rss_mb. This is what keeps campaign memory O(window) — an
+the legacy single "rss_gate" object) and its peak RSS must stay under that
+gate's max_rss_mb. This is what keeps campaign memory O(window) — an
 accidental return to O(steps) metric growth or O(seeds) run buffering trips
-it just like a speed regression. Gates must be ordered by ascending
-max_rss_mb: ru_maxrss is a monotone high-water across children, so a larger
-earlier peak would mask a later gate's measurement.
+it just like a speed regression. Each command runs under rss_spawn, the
+native spawner built beside the CLI (tools/rss_spawn.cc), which reports that
+one child's ru_maxrss: a child forked from this interpreter would inherit
+the interpreter's resident pages into its peak.
 
 Stdlib-only, like every Python tool in CI — tools/ci_python_requirements.txt
 is the shared (deliberately package-free) requirements file CI installs for
@@ -36,7 +37,7 @@ this script, the determinism lint, and the clang-tidy runner.
 
 import argparse
 import json
-import resource
+import os
 import subprocess
 import sys
 
@@ -58,25 +59,21 @@ def load_report(path):
     return times, data
 
 
-def check_rss_gate(cli, gate):
-    """Runs the gated campaign command and checks the child's peak RSS."""
+def check_rss_gate(spawner, cli, gate):
+    """Runs the gated campaign command under rss_spawn and checks its peak RSS."""
     cmd = [cli] + gate["args"]
     limit_mb = gate["max_rss_mb"]
     # ru_maxrss is KiB on Linux but bytes on macOS.
     rss_per_mb = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
-    # ru_maxrss is a monotone high-water over all reaped children, so a prior
-    # child bigger than the limit would mask the CLI's actual peak — refuse
-    # to measure through that.
-    before_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / rss_per_mb
-    if before_mb > limit_mb:
-        print(f"rss gate: a prior subprocess already peaked at {before_mb:.1f} MB "
-              f"(> limit {limit_mb:.1f} MB); measurement would be masked", file=sys.stderr)
+    proc = subprocess.run([spawner] + cmd, stdout=subprocess.PIPE, text=True)
+    fields = proc.stdout.split()
+    if proc.returncode != 0 or len(fields) != 2:
+        print(f"rss gate: {spawner} could not run {' '.join(cmd)}", file=sys.stderr)
         return False
-    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
-    if proc.returncode != 0:
-        print(f"rss gate: {' '.join(cmd)} exited {proc.returncode}", file=sys.stderr)
+    if fields[1] != "0":
+        print(f"rss gate: {' '.join(cmd)} exited {fields[1]}", file=sys.stderr)
         return False
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / rss_per_mb
+    peak_mb = int(fields[0]) / rss_per_mb
     verdict = "OK" if peak_mb <= limit_mb else "REGRESSION"
     print(f"rss gate ({' '.join(gate['args'])}): peak {peak_mb:.1f} MB, "
           f"limit {limit_mb:.1f} MB [{verdict}]")
@@ -128,12 +125,12 @@ def main():
     legacy_gate = baseline_data.get("rss_gate")
     if legacy_gate:
         rss_gates.append(legacy_gate)
-    # Ascending budgets regardless of baseline order: a larger earlier peak
-    # would mask every smaller gate behind it (ru_maxrss is a high-water).
-    rss_gates.sort(key=lambda gate: gate["max_rss_mb"])
     if args.cli:
+        spawner = os.path.join(os.path.dirname(args.cli), "rss_spawn")
+        if not os.access(spawner, os.X_OK):
+            raise SystemExit(f"error: {spawner} not found (build the rss_spawn target)")
         for i, gate in enumerate(rss_gates):
-            if not check_rss_gate(args.cli, gate):
+            if not check_rss_gate(spawner, args.cli, gate):
                 failures.append(f"rss_gate[{i}]")
 
     if failures:
