@@ -17,22 +17,14 @@ void Report(const char* name, Scenario& scenario) {
   std::printf("\n--- %s ---\n", name);
   TablePrinter table({"Normalized Step", "Cumulative ETTR", "Sliding ETTR (1h)",
                       "Relative MFU"});
-  const auto& samples = sys.mfu_series().samples();
+  const MfuSeries& series = sys.mfu_series();
   // Relative MFU is baselined on the initial (naive-code) MFU; degraded
   // stretches would otherwise drag the denominator below the Fig. 11 curve.
-  const double min_mfu = samples.empty() ? 0.0 : samples.front().mfu;
+  const double min_mfu = series.retained_samples() == 0 ? 0.0 : series.Samples().front().mfu;
   const int points = 20;
   for (int i = 1; i <= points; ++i) {
     const SimTime t = end / points * i;
-    // Find the MFU sample nearest to t.
-    double mfu = 0.0;
-    for (const auto& s : samples) {
-      if (s.time <= t) {
-        mfu = s.mfu;
-      } else {
-        break;
-      }
-    }
+    const double mfu = series.MfuAt(t);  // newest sample at or before t
     // Cumulative ETTR at time t == productive time within [0, t] over t,
     // which is a sliding window of width t ending at t.
     table.AddRow({FormatDouble(static_cast<double>(i) / points, 2),

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "src/common/table.h"
 #include "src/core/production_presets.h"
@@ -17,7 +18,7 @@ int main() {
   Scenario scenario(Fig2CampaignConfig(/*seed=*/29));
   scenario.Run();
   ByteRobustSystem& sys = scenario.system();
-  const auto& samples = sys.mfu_series().samples();
+  const std::vector<MfuSample> samples = sys.mfu_series().Samples();
   if (samples.empty()) {
     std::printf("no samples\n");
     return 1;

@@ -46,8 +46,8 @@ void BM_SimulatorScheduleDispatch(benchmark::State& state) {
 BENCHMARK(BM_SimulatorScheduleDispatch)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // The simulated training-step hot path: epoch-cached perf-model queries plus
-// batched inline step execution (no interfering events, so every step after
-// the first runs without a heap round-trip).
+// run-level step execution. Nothing else is scheduled, so every step after
+// the first joins one run: the cost is per run, not per step.
 void BM_TrainJobStepLoop(benchmark::State& state) {
   const std::int64_t steps = state.range(0);
   JobConfig cfg;
@@ -62,7 +62,7 @@ void BM_TrainJobStepLoop(benchmark::State& state) {
     Cluster cluster(cfg.parallelism.num_machines(), cfg.parallelism.gpus_per_machine);
     TrainJob job(cfg, &sim, &cluster, 7);
     std::int64_t sink = 0;
-    job.AddStepObserver([&sink](const StepRecord& rec) { sink += rec.step; });
+    job.AddRunObserver([&sink](const StepRun& run) { sink += run.count; });
     job.Start();
     sim.RunUntil(cfg.base_step_time * steps);
     benchmark::DoNotOptimize(sink);
@@ -74,11 +74,11 @@ void BM_TrainJobStepLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainJobStepLoop)->Arg(10000)->Arg(100000);
 
-// The healthy step with the full per-step fan-out wired (metric rules,
-// checkpoint saves, ETTR and MFU ledgers): a fault-free quickstart system
-// (16 machines, 10 s steps) for one simulated day, system setup included.
-// BM_TrainJobStepLoop attaches only a trivial observer; this is what every
-// step of a campaign pays between incidents.
+// The healthy step with the full run fan-out wired (metric rules, checkpoint
+// saves, ETTR and MFU ledgers): a fault-free quickstart system (16 machines,
+// 10 s steps) for one simulated day, system setup included.
+// BM_TrainJobStepLoop attaches only a trivial observer; this is what a
+// campaign pays between incidents.
 void BM_SystemHealthyStep(benchmark::State& state) {
   SystemConfig config;
   config.job.name = "bench-healthy-step";

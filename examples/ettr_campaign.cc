@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "src/core/production_presets.h"
 
@@ -35,8 +36,8 @@ int main(int argc, char** argv) {
               sys.ettr().CumulativeEttr(sys.sim().Now()));
   std::printf("recompute overhead : %s\n", FormatDuration(sys.ettr().recompute_time()).c_str());
 
-  const double min_mfu =
-      sys.mfu_series().samples().empty() ? 1.0 : sys.mfu_series().samples().front().mfu;
+  const std::vector<MfuSample> samples = sys.mfu_series().Samples();
+  const double min_mfu = samples.empty() ? 1.0 : samples.front().mfu;
   const double max_mfu = sys.mfu_series().MaxMfu();
   std::printf("relative MFU gain  : %.2fx (hot updates raised MFU from %.2f to %.2f)\n",
               max_mfu / min_mfu, min_mfu, max_mfu);

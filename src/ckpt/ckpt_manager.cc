@@ -26,23 +26,48 @@ SimDuration CheckpointManager::SaveLatency() const {
   return Seconds(d2h_s + std::max(ser_s, d2h_s));
 }
 
-void CheckpointManager::OnStep(const StepRecord& record) {
-  if (config_.save_every_steps <= 0 || record.step % config_.save_every_steps != 0) {
+void CheckpointManager::OnRun(const StepRun& run) {
+  const std::int64_t every = config_.save_every_steps;
+  if (every <= 0) {
     return;
   }
-  DrainCompletedSaves();
-  // Dual buffer: with two saves already in flight the new one replaces the
-  // pending slot only after the oldest completes. Saves complete in FIFO
-  // order with fixed latency, so simply cap the queue.
-  if (in_flight_.size() >= 2) {
-    return;  // skip this step's save; the next one will catch up
+  const std::int64_t first_save = (run.first + every - 1) / every * every;  // steps are >= 0
+  const std::int64_t last = run.first + run.count - 1;
+  if (first_save > last) {
+    return;
   }
-  ++saves_started_;
-  in_flight_.push_back({record.step, sim_->Now() + save_latency_});
+  const std::int64_t saves = (last - first_save) / every + 1;
+  const SimDuration period = every * run.step_time;
+  for (std::int64_t i = 0; i < saves; ++i) {
+    const std::int64_t step = first_save + i * every;
+    const SimTime end = run.StepEnd(step - run.first);
+    DrainUntil(end);
+    if (in_flight_.empty() && save_latency_ <= period) {
+      // Steady state: each save is durable by the next cadence step's end,
+      // which drains it and starts its own. The remaining saves all start,
+      // all but the last complete, and the last stays in flight.
+      const std::int64_t rest = saves - i;
+      const std::int64_t last_save = first_save + (saves - 1) * every;
+      saves_started_ += rest;
+      saves_completed_ += rest - 1;
+      if (rest > 1) {
+        durable_step_ = std::max(durable_step_, last_save - every);
+      }
+      in_flight_.push_back({last_save, run.StepEnd(last_save - run.first) + save_latency_});
+      return;
+    }
+    // Dual buffer: with two saves already in flight this step's save is
+    // skipped; saves complete in FIFO order with fixed latency, so the next
+    // one catches up.
+    if (in_flight_.size() >= 2) {
+      continue;
+    }
+    ++saves_started_;
+    in_flight_.push_back({step, end + save_latency_});
+  }
 }
 
-void CheckpointManager::DrainCompletedSaves() const {
-  const SimTime now = sim_->Now();
+void CheckpointManager::DrainUntil(SimTime now) const {
   while (!in_flight_.empty() && in_flight_.front().complete_time <= now) {
     durable_step_ = std::max(durable_step_, in_flight_.front().step);
     ++saves_completed_;

@@ -39,9 +39,13 @@ class CheckpointManager {
  public:
   CheckpointManager(const CkptManagerConfig& config, Simulator* sim, TrainJob* job);
 
-  // Starts this step's save when it falls on the save cadence. The owner
-  // wires it to TrainJob's step stream; the constructor does not.
-  void OnStep(const StepRecord& record);
+  // Starts a save for every step of the run on the save cadence, at that
+  // step's end time, exactly as step-by-step delivery would. When the save
+  // latency fits in the cadence period (every shipped scenario), the saves
+  // after the first are counted in closed form; otherwise the cadence steps
+  // are walked. The owner wires it to TrainJob's run stream; the constructor
+  // does not.
+  void OnRun(const StepRun& run);
 
   // The step to resume from after a failure: one past the newest durable
   // completed step (0 when nothing durable exists yet).
@@ -87,8 +91,10 @@ class CheckpointManager {
   // Saves become durable in FIFO order at a deterministic latency, so instead
   // of scheduling one simulator event per save (which would cap the batched
   // step loop at the save latency and cost O(steps) event traffic), completed
-  // saves are folded into durable_step_ lazily at the current simulated time.
-  void DrainCompletedSaves() const;
+  // saves are folded into durable_step_ lazily: at the current simulated time
+  // for queries, at each cadence step's end time for new saves.
+  void DrainCompletedSaves() const { DrainUntil(sim_->Now()); }
+  void DrainUntil(SimTime now) const;
 
   CkptManagerConfig config_;
   Simulator* sim_;

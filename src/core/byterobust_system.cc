@@ -44,14 +44,17 @@ void ByteRobustSystem::WireComponents(SimTime ettr_origin) {
       config_.controller, sim_, cluster_.get(), job_.get(), monitor_.get(), diagnoser_.get(),
       spares_, hot_updates_.get(), ckpt_.get(), root.Fork());
   ettr_ = std::make_unique<EttrTracker>(ettr_origin, config_.metrics_retention);
-  mfu_series_.SetRetention(config_.metrics_retention);
-  // The one per-step fan-out, in a fixed order: metric rules, checkpoint
-  // saves, then the ETTR and MFU ledgers.
-  job_->AddStepObserver([this](const StepRecord& rec) {
-    monitor_->OnStepRecord(rec);
-    ckpt_->OnStep(rec);
-    ettr_->OnStep(rec);
-    mfu_series_.OnStep(rec);
+  mfu_series_ = std::make_unique<MfuSeries>(&job_->loss_model(), config_.metrics_retention);
+  // The one step fan-out, in a fixed order: metric rules, checkpoint saves,
+  // then the ETTR and MFU ledgers. Each folds a whole run in O(1); the
+  // metric rules also decide where the job splits runs, so a firing step is
+  // delivered on its own at its end time.
+  job_->SetQuietPrefix([this](const StepRun& run) { return monitor_->QuietPrefix(run); });
+  job_->AddRunObserver([this](const StepRun& run) {
+    monitor_->OnRun(run);
+    ckpt_->OnRun(run);
+    ettr_->OnRun(run);
+    mfu_series_->OnRun(run);
   });
 }
 

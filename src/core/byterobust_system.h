@@ -98,7 +98,7 @@ class ByteRobustSystem {
   CheckpointManager& ckpt() { return *ckpt_; }
   RobustController& controller() { return *controller_; }
   EttrTracker& ettr() { return *ettr_; }
-  MfuSeries& mfu_series() { return mfu_series_; }
+  MfuSeries& mfu_series() { return *mfu_series_; }
 
   const SystemConfig& config() const { return config_; }
 
@@ -118,7 +118,7 @@ class ByteRobustSystem {
   std::unique_ptr<CheckpointManager> ckpt_;
   std::unique_ptr<RobustController> controller_;
   std::unique_ptr<EttrTracker> ettr_;
-  MfuSeries mfu_series_;
+  std::unique_ptr<MfuSeries> mfu_series_;
 };
 
 }  // namespace byterobust

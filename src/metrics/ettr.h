@@ -5,7 +5,7 @@
 //
 // Windowed compaction: with a nonzero retention, closed spans/samples older
 // than the trailing window are folded into running aggregates (sum, count,
-// min/max, per-run totals) as steps arrive, so memory stays O(window) for
+// min/max, per-run totals) as runs arrive, so memory stays O(window) for
 // month-scale campaigns while cumulative metrics and any sliding query at the
 // live edge with window <= retention remain bit-identical to the unbounded
 // tracker. Historical sliding queries (ETTR curves for plots) need the
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/common/sim_time.h"
+#include "src/training/loss_model.h"
 #include "src/training/train_job.h"
 
 namespace byterobust {
@@ -31,59 +32,12 @@ class EttrTracker {
   explicit EttrTracker(SimTime origin = 0, SimDuration retention = 0)
       : origin_(origin), retention_(retention) {}
 
-  // The hot-path cache below points into this tracker's own map; copies and
-  // moves must drop it rather than alias the source's storage.
-  EttrTracker(const EttrTracker& other) { *this = other; }
-  EttrTracker& operator=(const EttrTracker& other) {
-    if (this != &other) {
-      origin_ = other.origin_;
-      retention_ = other.retention_;
-      productive_ = other.productive_;
-      recompute_ = other.recompute_;
-      productive_steps_ = other.productive_steps_;
-      productive_by_run_ = other.productive_by_run_;
-      spans_folded_ = other.spans_folded_;
-      folded_productive_ = other.folded_productive_;
-      productive_spans_ = other.productive_spans_;
-      cached_run_id_ = -1;
-      cached_run_total_ = nullptr;
-    }
-    return *this;
-  }
-  EttrTracker(EttrTracker&& other) noexcept
-      : origin_(other.origin_),
-        retention_(other.retention_),
-        productive_(other.productive_),
-        recompute_(other.recompute_),
-        productive_steps_(other.productive_steps_),
-        productive_by_run_(std::move(other.productive_by_run_)),
-        spans_folded_(other.spans_folded_),
-        folded_productive_(other.folded_productive_),
-        productive_spans_(std::move(other.productive_spans_)) {
-    other.cached_run_id_ = -1;
-    other.cached_run_total_ = nullptr;
-  }
-  EttrTracker& operator=(EttrTracker&& other) noexcept {
-    if (this != &other) {
-      origin_ = other.origin_;
-      retention_ = other.retention_;
-      productive_ = other.productive_;
-      recompute_ = other.recompute_;
-      productive_steps_ = other.productive_steps_;
-      productive_by_run_ = std::move(other.productive_by_run_);
-      spans_folded_ = other.spans_folded_;
-      folded_productive_ = other.folded_productive_;
-      productive_spans_ = std::move(other.productive_spans_);
-      cached_run_id_ = -1;
-      cached_run_total_ = nullptr;
-      other.cached_run_id_ = -1;
-      other.cached_run_total_ = nullptr;
-    }
-    return *this;
-  }
-
-  // Feed every completed step (subscribe to TrainJob).
-  void OnStep(const StepRecord& record);
+  // Feed every completed run (subscribe to TrainJob). A productive run adds
+  // count x step_time; its steps are kept as one span (extending the newest
+  // span when the run continues it at the same step time), and compaction
+  // folds whole steps, exactly as step-by-step delivery would. Durations are
+  // integers, so every ETTR is exact.
+  void OnRun(const StepRun& run);
 
   // Cumulative ETTR at time `now`.
   double CumulativeEttr(SimTime now) const;
@@ -100,16 +54,19 @@ class EttrTracker {
   // Productive time per run id (running aggregate, unaffected by compaction).
   const std::map<int, SimDuration>& productive_by_run() const { return productive_by_run_; }
 
-  // Compaction statistics.
+  // Compaction statistics, in productive steps.
   SimDuration retention() const { return retention_; }
-  std::size_t retained_spans() const { return productive_spans_.size(); }
-  std::int64_t spans_folded() const { return spans_folded_; }
+  std::int64_t retained_steps() const { return productive_steps_ - steps_folded_; }
+  std::int64_t steps_folded() const { return steps_folded_; }
   SimDuration folded_productive() const { return folded_productive_; }
 
  private:
+  // `count` back-to-back productive steps of `step_time` from `start`.
   struct Span {
     SimTime start;
-    SimTime end;
+    SimDuration step_time;
+    std::int64_t count;
+    SimTime end() const { return start + count * step_time; }
   };
 
   SimTime origin_;
@@ -118,17 +75,13 @@ class EttrTracker {
   SimDuration recompute_ = 0;
   std::int64_t productive_steps_ = 0;
   std::map<int, SimDuration> productive_by_run_;
-  // Hot-path cache: steps arrive in run order, so the per-run total is one
-  // pointer chase away instead of a map lookup per step (map nodes are
-  // pointer-stable, so the cached slot survives later insertions).
-  int cached_run_id_ = -1;
-  SimDuration* cached_run_total_ = nullptr;
-  std::int64_t spans_folded_ = 0;
+  std::int64_t steps_folded_ = 0;
   SimDuration folded_productive_ = 0;
   std::deque<Span> productive_spans_;  // sorted by end time (append order)
 };
 
-// A (time, mfu) sample series for Figs. 2 and 11.
+// One productive step's point of the MFU series (Figs. 2 and 11), at the
+// step's end time.
 struct MfuSample {
   SimTime time = 0;
   std::int64_t step = 0;
@@ -137,16 +90,27 @@ struct MfuSample {
   int run_id = 0;
 };
 
+// The MFU series, stored run-length: one entry per run of productive steps
+// that share an MFU (adjacent runs that continue one another merge), so the
+// series costs O(1) per run and its memory tracks runs, not steps. The
+// per-step view is materialized on read.
 class MfuSeries {
  public:
-  void OnStep(const StepRecord& record);
+  // `loss` (may be null: losses then read NaN) supplies the samples' losses
+  // and must outlive the series. A nonzero `retention` keeps only the samples
+  // inside the trailing window; older ones are folded into the running
+  // aggregates below as runs arrive. 0 (default) keeps all.
+  explicit MfuSeries(const LossCurve* loss = nullptr, SimDuration retention = 0)
+      : loss_(loss), retention_(retention) {}
 
-  // With a nonzero retention, only the samples inside the trailing window.
-  const std::deque<MfuSample>& samples() const { return samples_; }
+  void OnRun(const StepRun& run);
 
-  // Sets the trailing retention window; samples older than it are folded into
-  // the running aggregates below as steps arrive. 0 (default) keeps all.
-  void SetRetention(SimDuration retention) { retention_ = retention; }
+  // The retained samples, one per productive step, oldest first. O(samples):
+  // for exports and figures, not hot paths.
+  std::vector<MfuSample> Samples() const;
+
+  // MFU of the newest retained sample at or before `t` (0 if there is none).
+  double MfuAt(SimTime t) const;
 
   // Relative MFU: ratio of each *retained* sample to the series minimum
   // (paper Fig. 11). Covers the full series when retention is 0.
@@ -158,14 +122,24 @@ class MfuSeries {
 
   std::int64_t total_samples() const { return total_samples_; }
   std::int64_t samples_folded() const { return samples_folded_; }
-  double mfu_sum() const { return mfu_sum_; }
+  std::int64_t retained_samples() const { return total_samples_ - samples_folded_; }
 
  private:
-  SimDuration retention_ = 0;
-  std::deque<MfuSample> samples_;
+  struct Run {
+    std::int64_t first;    // step of the first sample
+    std::int64_t count;    // samples
+    SimTime first_time;    // time of the first sample
+    SimDuration step_time; // sample i is at first_time + i * step_time
+    double mfu;
+    int run_id;
+    bool is_nan;
+  };
+
+  const LossCurve* loss_;
+  SimDuration retention_;
+  std::deque<Run> runs_;
   std::int64_t total_samples_ = 0;
   std::int64_t samples_folded_ = 0;
-  double mfu_sum_ = 0.0;
   double min_mfu_ = 0.0;
   double max_mfu_ = 0.0;
 };

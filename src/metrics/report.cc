@@ -9,7 +9,7 @@ namespace byterobust {
 std::string MfuSeriesCsv(const MfuSeries& series, int stride) {
   std::ostringstream out;
   out << "time_s,step,loss,mfu,relative_mfu,run_id\n";
-  const auto& samples = series.samples();
+  const std::vector<MfuSample> samples = series.Samples();
   if (samples.empty()) {
     return out.str();
   }

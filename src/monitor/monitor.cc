@@ -48,7 +48,7 @@ Monitor::Monitor(const MonitorConfig& config, Simulator* sim, Cluster* cluster, 
       cluster_(cluster),
       job_(job),
       quiescent_(config.quiescent && QuiescentMonitorEnvEnabled()),
-      rules_(config.metrics) {
+      rules_(config.metrics, &job->loss_model()) {
   job_->AddStateObserver([this](JobRunState state) { OnJobStateChange(state); });
 }
 
@@ -280,12 +280,12 @@ void Monitor::OnJobStateChange(JobRunState state) {
   }
 }
 
-void Monitor::OnStepRecord(const StepRecord& record) {
+void Monitor::OnRun(const StepRun& run) {
   if (!running_) {
     return;
   }
-  if (auto report = rules_.OnStep(record)) {
-    Emit(std::move(*report));
+  for (AnomalyReport& report : rules_.OnRun(run)) {
+    Emit(std::move(report));
   }
 }
 

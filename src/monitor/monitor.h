@@ -73,9 +73,15 @@ class Monitor {
   // controller restarts the job.
   void OnJobRestart();
 
-  // Feeds one completed step to the metric rules (no-op while stopped). The
-  // owner wires it to TrainJob's step stream; the constructor does not.
-  void OnStepRecord(const StepRecord& record);
+  // Feeds a run of completed steps to the metric rules and emits what fires
+  // (no-op while stopped). The owner wires it to TrainJob's run stream, and
+  // QuietPrefix to the job's run splitting; the constructor does neither.
+  void OnRun(const StepRun& run);
+
+  // Leading steps of `run` on which no metric rule fires (all while stopped).
+  std::int64_t QuietPrefix(const StepRun& run) const {
+    return running_ ? rules_.QuietPrefix(run) : run.count;
+  }
 
   // Number of anomaly reports emitted.
   std::uint64_t reports_emitted() const { return reports_emitted_; }

@@ -81,7 +81,6 @@ DashboardJob SampleDashboardJob(const std::string& label, std::uint64_t seed,
   if (retention > 0) {
     window = std::min(window, retention);
   }
-  const std::deque<MfuSample>& samples = mfu.samples();
   for (int k = 0; k < kDashboardPoints; ++k) {
     const SimTime t =
         kDashboardPoints <= 1
@@ -90,11 +89,7 @@ DashboardJob SampleDashboardJob(const std::string& label, std::uint64_t seed,
     DashboardPoint point;
     point.t_s = ToSeconds(t);
     point.sliding_ettr = ettr.SlidingEttr(t, window);
-    // Newest retained MFU sample at/before t (samples are append-ordered).
-    const auto it = std::upper_bound(
-        samples.begin(), samples.end(), t,
-        [](SimTime lhs, const MfuSample& s) { return lhs < s.time; });
-    point.mfu = it == samples.begin() ? 0.0 : std::prev(it)->mfu;
+    point.mfu = mfu.MfuAt(t);  // newest retained sample at/before t
     job.points.push_back(point);
   }
   return job;

@@ -1,6 +1,6 @@
 #include "src/training/train_job.h"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/common/log.h"
@@ -128,28 +128,23 @@ void TrainJob::CompleteStep() {
   if (state_ != JobRunState::kRunning) {
     return;
   }
-  FinishOneStep();
-
-  // Batched execution: while the job stays healthy, run every whole step that
-  // ends strictly before the next pending simulator event (and within the run
-  // horizon) inline, advancing the clock directly instead of paying one
-  // closure + heap round-trip per step. Strict inequality preserves dispatch
-  // semantics exactly: a step ending *at* the next event's timestamp goes
-  // through the scheduler, so (time, schedule order) ties resolve as before.
-  // Observers run at the step's own end time (the clock is advanced first)
-  // and may schedule events or mutate the job; the loop re-reads both bounds
-  // every iteration, so the moment an observer schedules something earlier or
-  // stops/crashes/hangs the job, batching ends.
-  if (config_.batched_stepping) {
-    while (state_ == JobRunState::kRunning && !sim_->stop_requested()) {
-      const SimDuration step_time = CurrentStepTime();
-      const SimTime end = sim_->Now() + step_time;
-      if (end > sim_->horizon() || end >= sim_->NextEventTime()) {
-        break;
-      }
-      step_start_ = sim_->Now();
-      sim_->AdvanceTo(end);
-      FinishOneStep();
+  // The step scheduled at step_start_ has just ended. Batched stepping folds
+  // it into a run with the whole steps that follow before the next pending
+  // event (strict inequality: a step ending *at* the next event's timestamp
+  // goes through the scheduler, so (time, schedule order) ties resolve as on
+  // the per-step path). After each delivery the loop re-reads the state, the
+  // stop flag and the next event time: a firing step's anomaly handler may
+  // stop the job or schedule something earlier.
+  StepRun run = NextRun(step_start_, sim_->Now() - step_start_, 1);
+  for (;;) {
+    Advance(run);
+    if (!config_.batched_stepping || state_ != JobRunState::kRunning ||
+        sim_->stop_requested()) {
+      break;
+    }
+    run = NextRun(sim_->Now(), CurrentStepTime(), 0);
+    if (run.count == 0) {
+      break;
     }
   }
   if (state_ == JobRunState::kRunning) {
@@ -157,24 +152,51 @@ void TrainJob::CompleteStep() {
   }
 }
 
-void TrainJob::FinishOneStep() {
-  StepRecord rec;
-  rec.step = resume_step_;
-  rec.start = step_start_;
-  rec.end = sim_->Now();
-  rec.mfu = CurrentMfu();
-  rec.is_nan = nan_loss_;
-  rec.loss = nan_loss_ ? std::nan("") : loss_.LossAt(rec.step);
-  rec.recompute = rec.step < max_step_reached_;
-  rec.run_id = run_count_;
+StepRun TrainJob::NextRun(SimTime start, SimDuration step_time, std::int64_t elapsed) {
+  StepRun run;
+  run.first = resume_step_;
+  run.count = elapsed;
+  run.start = start;
+  run.step_time = step_time;
+  run.mfu = CurrentMfu();
+  run.run_id = run_count_;
+  run.recompute = resume_step_ < max_step_reached_;
+  run.is_nan = nan_loss_;
+  if (config_.batched_stepping && !sim_->stop_requested() && step_time > 0 &&
+      step_time == CurrentStepTime()) {
+    // Nothing changes the step inputs before the next event, so every step
+    // ending at or before min(horizon, next event - 1) runs alike.
+    const SimTime now = run.end();
+    const SimTime limit = std::min(sim_->horizon(), sim_->NextEventTime() - 1);
+    if (limit > now) {
+      run.count += (limit - now) / step_time;
+    }
+  }
+  if (run.recompute) {
+    run.count = std::min(run.count, max_step_reached_ - resume_step_);
+  }
+  return run;
+}
 
-  ++resume_step_;
-  ++steps_completed_;
+void TrainJob::Advance(const StepRun& run) {
+  const std::int64_t quiet =
+      quiet_prefix_ ? std::min(quiet_prefix_(run), run.count) : run.count;
+  if (quiet > 0) {
+    Deliver(run.Slice(0, quiet));
+  }
+  if (quiet < run.count && state_ == JobRunState::kRunning && !sim_->stop_requested()) {
+    Deliver(run.Slice(quiet, 1));
+  }
+}
+
+void TrainJob::Deliver(const StepRun& run) {
+  sim_->AdvanceTo(run.end());
+  resume_step_ += run.count;
+  steps_completed_ += run.count;
   max_step_reached_ = std::max(max_step_reached_, resume_step_);
-  last_progress_time_ = rec.end;
-
+  last_progress_time_ = run.end();
   for (const auto& obs : observers_) {
-    obs(rec);
+    obs(run);
   }
 }
 

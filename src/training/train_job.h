@@ -1,5 +1,23 @@
 // Training-job runtime: drives the step loop on the simulator and exposes the
 // state that ByteRobust's data plane observes (steps, loss, MFU, hang state).
+//
+// Steps are delivered to observers in runs (StepRun): consecutive steps that
+// share one step time, MFU, run id, recompute flag and NaN flag. Between two
+// simulator events nothing can change those inputs, so with batched stepping
+// (the default) a completing step extends into a run of every whole step that
+// ends strictly before the next pending event, and the clock advances once
+// per run instead of once per step. Observers fold a run in O(1): the ETTR
+// and checkpoint ledgers in closed form, the metric rules through the loss
+// curve's range bounds (losses are never computed per step; see LossCurve).
+//
+// A run must not hide a metric-rule verdict: an anomaly report is raised at
+// its step's end time, with the clock there, before the job's state can
+// change. The owner installs a quiet-prefix function (the monitor's rules);
+// the job delivers a candidate run's quiet prefix as one run and the step
+// that fires as a run of its own at its end time, then re-reads its state
+// and the next event time exactly as a per-step loop would. With
+// JobConfig::batched_stepping off every run is one step long, the per-step
+// reference path the equivalence gates compare against.
 
 #ifndef SRC_TRAINING_TRAIN_JOB_H_
 #define SRC_TRAINING_TRAIN_JOB_H_
@@ -27,16 +45,31 @@ enum class JobRunState {
 
 const char* JobRunStateName(JobRunState state);
 
-// Emitted on every completed training step.
-struct StepRecord {
-  std::int64_t step = 0;
+// `count` consecutive completed steps, first .. first + count - 1, back to
+// back: step first + i runs over [start + i * step_time, start + (i + 1) *
+// step_time). Every step shares the MFU, run id and flags. A step's loss is
+// NaN when is_nan, else the job's LossCurve at its index.
+struct StepRun {
+  std::int64_t first = 0;
+  std::int64_t count = 0;
   SimTime start = 0;
-  SimTime end = 0;
+  SimDuration step_time = 0;
   double mfu = 0.0;
-  double loss = 0.0;
-  bool is_nan = false;  // loss is NaN (SDC / bad data / code bug)
-  bool recompute = false;  // re-doing work lost to an unsaved-progress restart
   int run_id = 0;
+  bool recompute = false;  // re-doing work lost to an unsaved-progress restart
+  bool is_nan = false;     // loss is NaN (SDC / bad data / code bug)
+
+  SimTime end() const { return start + count * step_time; }
+  // End time of step first + i.
+  SimTime StepEnd(std::int64_t i) const { return start + (i + 1) * step_time; }
+  // Steps first + offset .. first + offset + n - 1 as a run of their own.
+  StepRun Slice(std::int64_t offset, std::int64_t n) const {
+    StepRun out = *this;
+    out.first = first + offset;
+    out.count = n;
+    out.start = start + offset * step_time;
+    return out;
+  }
 };
 
 class TrainJob {
@@ -46,11 +79,17 @@ class TrainJob {
   TrainJob(const TrainJob&) = delete;
   TrainJob& operator=(const TrainJob&) = delete;
 
-  // Observer invoked on each step completion. ByteRobustSystem installs one
-  // that fans out to monitor, checkpoints, ETTR and MFU; tests and benches
-  // attach their own.
-  using StepObserver = std::function<void(const StepRecord&)>;
-  void AddStepObserver(StepObserver observer) { observers_.push_back(std::move(observer)); }
+  // Observer invoked on each completed run of steps, with the clock at the
+  // run's end. ByteRobustSystem installs one that fans out to monitor,
+  // checkpoints, ETTR and MFU; tests and benches attach their own.
+  using RunObserver = std::function<void(const StepRun&)>;
+  void AddRunObserver(RunObserver observer) { observers_.push_back(std::move(observer)); }
+
+  // How many leading steps of a candidate run complete without a metric rule
+  // firing (run.count when none fires). The job splits runs there; see the
+  // file comment. Without one, every candidate run is delivered whole.
+  using QuietPrefixFn = std::function<std::int64_t(const StepRun&)>;
+  void SetQuietPrefix(QuietPrefixFn quiet_prefix) { quiet_prefix_ = std::move(quiet_prefix); }
 
   // Observer invoked after every run-state transition (Start/Stop/Crash/Hang).
   // The quiescent monitor uses it to re-arm its watchdog on demand instead of
@@ -107,6 +146,10 @@ class TrainJob {
   double CurrentMfu() const;
   SimDuration CurrentStepTime() const;
 
+  // The loss curve the job's steps follow (readers materialize losses from
+  // step indices through it).
+  const LossModel& loss_model() const { return loss_; }
+
   const JobConfig& config() const { return config_; }
   const Topology& topology() const { return *topology_; }
   Cluster* cluster() { return cluster_; }
@@ -114,7 +157,17 @@ class TrainJob {
  private:
   void ScheduleNextStep();
   void CompleteStep();
-  void FinishOneStep();
+  // The run starting at resume_step_ and `start`: `elapsed` steps of
+  // `step_time` that have already ended, extended (batched stepping, current
+  // step time) by every whole step that ends within the run horizon and
+  // strictly before the next pending event, and cut where the recompute flag
+  // would flip.
+  StepRun NextRun(SimTime start, SimDuration step_time, std::int64_t elapsed);
+  // Splits `run` at its quiet prefix and delivers the prefix and the firing
+  // step, if any.
+  void Advance(const StepRun& run);
+  // Advances the clock to the run's end, books its steps and fans it out.
+  void Deliver(const StepRun& run);
   void NotifyStateObservers();
 
   JobConfig config_;
@@ -127,7 +180,8 @@ class TrainJob {
 
   JobRunState state_ = JobRunState::kStopped;
   std::vector<CodeVersion> versions_;
-  std::vector<StepObserver> observers_;
+  std::vector<RunObserver> observers_;
+  QuietPrefixFn quiet_prefix_;
   std::vector<StateObserver> state_observers_;
 
   std::int64_t resume_step_ = 0;       // next step index to execute

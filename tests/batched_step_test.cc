@@ -1,9 +1,9 @@
 // Batched-stepping equivalence suite: the inline batched step loop
 // (JobConfig::batched_stepping, the default) must be observationally
-// indistinguishable from the per-step reference path — identical StepRecord
+// indistinguishable from the per-step reference path — identical per-step
 // streams, identical anomaly detect times, identical campaign metrics — while
 // dispatching strictly fewer simulator events. Also covers the epoch-keyed
-// perf-model cache and the O(log w) sliding median against their full-scan
+// perf-model cache and the lazy-tail sliding median against their full-scan
 // references.
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "src/core/scenario.h"
 #include "src/monitor/metrics_rules.h"
 #include "src/training/train_job.h"
+#include "tests/step_run_util.h"
 
 namespace byterobust {
 namespace {
@@ -34,15 +35,9 @@ JobConfig SmallJob(bool batched) {
   return cfg;
 }
 
-bool SameRecord(const StepRecord& a, const StepRecord& b) {
-  const bool loss_same = (std::isnan(a.loss) && std::isnan(b.loss)) || a.loss == b.loss;
-  return a.step == b.step && a.start == b.start && a.end == b.end && a.mfu == b.mfu &&
-         loss_same && a.is_nan == b.is_nan && a.recompute == b.recompute &&
-         a.run_id == b.run_id;
-}
-
 struct StepStreamRun {
-  std::vector<StepRecord> records;
+  std::vector<StepView> records;
+  std::size_t runs = 0;
   std::uint64_t dispatched = 0;
 };
 
@@ -53,7 +48,10 @@ StepStreamRun RunStepStream(bool batched) {
   Cluster cluster(4, 2, 2);
   TrainJob job(SmallJob(batched), &sim, &cluster, 42);
   StepStreamRun out;
-  job.AddStepObserver([&out](const StepRecord& r) { out.records.push_back(r); });
+  job.AddRunObserver([&out, &job](const StepRun& run) {
+    AppendSteps(run, job.loss_model(), &out.records);
+    ++out.runs;
+  });
   // Interfering events at a cadence coprime with the 10 s step time, one of
   // which degrades a machine mid-run (stretching later steps through the
   // epoch-invalidated perf cache) and one of which heals it.
@@ -78,17 +76,20 @@ TEST(BatchedStepTest, StepStreamMatchesPerStepReference) {
   ASSERT_EQ(batched.records.size(), reference.records.size());
   ASSERT_FALSE(batched.records.empty());
   for (std::size_t i = 0; i < batched.records.size(); ++i) {
-    EXPECT_TRUE(SameRecord(batched.records[i], reference.records[i])) << "step " << i;
+    EXPECT_TRUE(batched.records[i] == reference.records[i]) << "step " << i;
   }
-  // The whole point: batching elides step-completion events.
+  // The whole point: batching elides step-completion events and delivers
+  // steps in runs; the reference path delivers runs of one.
   EXPECT_LT(batched.dispatched, reference.dispatched);
+  EXPECT_LT(batched.runs, batched.records.size());
+  EXPECT_EQ(reference.runs, reference.records.size());
 }
 
 TEST(BatchedStepTest, MidRunDegradeStretchesStepsIdentically) {
   const StepStreamRun batched = RunStepStream(true);
   // The 0.5x downclock at t=205 doubles step time until the heal at t=505.
   bool saw_slow = false;
-  for (const StepRecord& r : batched.records) {
+  for (const StepView& r : batched.records) {
     if (r.start >= Seconds(205) && r.end <= Seconds(505)) {
       EXPECT_EQ(r.end - r.start, Seconds(20));
       saw_slow = true;
@@ -182,24 +183,25 @@ TEST(PerfModelCacheTest, CachedQueriesTrackHealthEpoch) {
 // rule decision-for-decision on a noisy loss stream with spikes and NaNs.
 TEST(MetricsRulesMedianTest, MatchesCopySortReference) {
   const MetricsRulesConfig cfg;
-  MetricsRules rules(cfg);
+  TableLossCurve curve;
+  MetricsRules rules(cfg, &curve);
 
   // Reference: the pre-optimization implementation, verbatim semantics.
   std::deque<double> window;
-  const auto reference_on_step = [&](const StepRecord& rec) -> std::optional<AnomalySource> {
-    if (rec.is_nan || std::isnan(rec.loss)) {
+  const auto reference_on_step = [&](double loss, bool is_nan) -> std::optional<AnomalySource> {
+    if (is_nan || std::isnan(loss)) {
       return AnomalySource::kMetricNan;
     }
     if (static_cast<int>(window.size()) >= cfg.trailing_window / 2) {
       std::vector<double> v(window.begin(), window.end());
       std::sort(v.begin(), v.end());
       const double median = v.empty() ? 0.0 : v[v.size() / 2];
-      if (median > 0.0 && rec.loss > cfg.spike_factor * median) {
+      if (median > 0.0 && loss > cfg.spike_factor * median) {
         window.clear();
         return AnomalySource::kMetricSpike;
       }
     }
-    window.push_back(rec.loss);
+    window.push_back(loss);
     while (static_cast<int>(window.size()) > cfg.trailing_window) {
       window.pop_front();
     }
@@ -208,24 +210,20 @@ TEST(MetricsRulesMedianTest, MatchesCopySortReference) {
 
   Rng rng(99);
   for (int i = 0; i < 4000; ++i) {
-    StepRecord rec;
-    rec.step = i;
-    rec.end = Seconds(10) * i;
-    rec.mfu = 0.3;  // constant: keep the MFU rule quiet
-    rec.loss = 2.0 + rng.Uniform() * 0.5;
+    double loss = 2.0 + rng.Uniform() * 0.5;
     if (i % 97 == 0) {
-      rec.loss *= 50.0;  // spike
+      loss *= 50.0;  // spike
     }
-    if (i % 531 == 0 && i > 0) {
-      rec.is_nan = true;
-      rec.loss = std::nan("");
-    }
-    const auto expected = reference_on_step(rec);
-    const auto actual = rules.OnStep(rec);
-    ASSERT_EQ(actual.has_value(), expected.has_value()) << "step " << i;
-    if (actual.has_value()) {
-      EXPECT_EQ(actual->source, *expected) << "step " << i;
-      EXPECT_EQ(actual->detect_time, rec.end);
+    const bool is_nan = i % 531 == 0 && i > 0;
+    curve.Set(i, is_nan ? std::nan("") : loss);
+    // MFU constant: keep the MFU rule quiet.
+    const StepRun step = OneStep(i, Seconds(10) * (i - 1), Seconds(10) * i, 0.3, 0, false, is_nan);
+    const auto expected = reference_on_step(curve.LossAt(i), is_nan);
+    const auto actual = rules.OnRun(step);
+    ASSERT_EQ(!actual.empty(), expected.has_value()) << "step " << i;
+    if (!actual.empty()) {
+      EXPECT_EQ(actual.front().source, *expected) << "step " << i;
+      EXPECT_EQ(actual.front().detect_time, step.end());
     }
   }
 }

@@ -234,7 +234,7 @@ class CkptManagerTest : public ::testing::Test {
       : cluster_(4, 2, 1),
         job_(SmallJob(), &sim_, &cluster_, 1),
         mgr_(CkptManagerConfig{}, &sim_, &job_) {
-    job_.AddStepObserver([this](const StepRecord& rec) { mgr_.OnStep(rec); });
+    job_.AddRunObserver([this](const StepRun& run) { mgr_.OnRun(run); });
   }
 
   Simulator sim_;
@@ -295,7 +295,7 @@ TEST_F(CkptManagerTest, SaveEveryNSteps) {
   CkptManagerConfig cfg;
   cfg.save_every_steps = 2;
   CheckpointManager sparse(cfg, &sim_, &job_);
-  job_.AddStepObserver([&sparse](const StepRecord& rec) { sparse.OnStep(rec); });
+  job_.AddRunObserver([&sparse](const StepRun& run) { sparse.OnRun(run); });
   job_.Start();
   sim_.RunUntil(Seconds(45));  // steps 0..3 complete
   EXPECT_EQ(sparse.saves_started(), 2);  // steps 0 and 2 only

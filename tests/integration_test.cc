@@ -73,7 +73,7 @@ TEST(ScenarioIntegrationTest, HotUpdatesRaiseMfu) {
   // All submitted updates eventually applied (possibly minus a rollback).
   EXPECT_GE(sys.hot_updates().applied_count(), scenario.stats().updates_submitted - 1);
   // Relative MFU improved over the campaign (Fig. 11's staircase).
-  const auto& samples = sys.mfu_series().samples();
+  const std::vector<MfuSample> samples = sys.mfu_series().Samples();
   ASSERT_FALSE(samples.empty());
   EXPECT_GT(samples.back().mfu, samples.front().mfu);
 }

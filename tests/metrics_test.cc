@@ -4,26 +4,20 @@
 
 #include "src/metrics/ettr.h"
 #include "src/metrics/resolution.h"
+#include "tests/step_run_util.h"
 
 namespace byterobust {
 namespace {
 
-StepRecord MakeStep(std::int64_t step, SimTime start, SimTime end, bool recompute = false,
-                    double mfu = 0.3) {
-  StepRecord rec;
-  rec.step = step;
-  rec.start = start;
-  rec.end = end;
-  rec.recompute = recompute;
-  rec.mfu = mfu;
-  rec.loss = 2.0;
-  return rec;
+StepRun MakeStep(std::int64_t step, SimTime start, SimTime end, bool recompute = false,
+                 double mfu = 0.3) {
+  return OneStep(step, start, end, mfu, /*run_id=*/0, recompute);
 }
 
 TEST(EttrTrackerTest, CumulativeEttrIsProductiveOverWall) {
   EttrTracker tracker(0);
-  tracker.OnStep(MakeStep(0, 0, Seconds(10)));
-  tracker.OnStep(MakeStep(1, Seconds(10), Seconds(20)));
+  tracker.OnRun(MakeStep(0, 0, Seconds(10)));
+  tracker.OnRun(MakeStep(1, Seconds(10), Seconds(20)));
   // 20 s productive over 40 s wall.
   EXPECT_DOUBLE_EQ(tracker.CumulativeEttr(Seconds(40)), 0.5);
   EXPECT_EQ(tracker.productive_time(), Seconds(20));
@@ -32,8 +26,8 @@ TEST(EttrTrackerTest, CumulativeEttrIsProductiveOverWall) {
 
 TEST(EttrTrackerTest, RecomputeIsNotProductive) {
   EttrTracker tracker(0);
-  tracker.OnStep(MakeStep(0, 0, Seconds(10)));
-  tracker.OnStep(MakeStep(0, Seconds(20), Seconds(30), /*recompute=*/true));
+  tracker.OnRun(MakeStep(0, 0, Seconds(10)));
+  tracker.OnRun(MakeStep(0, Seconds(20), Seconds(30), /*recompute=*/true));
   EXPECT_EQ(tracker.productive_time(), Seconds(10));
   EXPECT_EQ(tracker.recompute_time(), Seconds(10));
   EXPECT_EQ(tracker.productive_steps(), 1);
@@ -41,11 +35,11 @@ TEST(EttrTrackerTest, RecomputeIsNotProductive) {
 
 TEST(EttrTrackerTest, SlidingWindowClipsSpans) {
   EttrTracker tracker(0);
-  tracker.OnStep(MakeStep(0, 0, Minutes(30)));
+  tracker.OnRun(MakeStep(0, 0, Minutes(30)));
   // Window [30m, 90m): only half the step's span falls inside... none, the
   // step ended exactly at the window start.
   EXPECT_DOUBLE_EQ(tracker.SlidingEttr(Minutes(90), Hours(1)), 0.0);
-  tracker.OnStep(MakeStep(1, Minutes(30), Minutes(75)));
+  tracker.OnRun(MakeStep(1, Minutes(30), Minutes(75)));
   // [30m, 90m) window at t=90m: step 1 contributes 45 of 60 minutes.
   EXPECT_NEAR(tracker.SlidingEttr(Minutes(90), Hours(1)), 0.75, 1e-9);
 }
@@ -53,7 +47,7 @@ TEST(EttrTrackerTest, SlidingWindowClipsSpans) {
 TEST(EttrTrackerTest, PerfectTrainingGivesEttrOne) {
   EttrTracker tracker(0);
   for (int i = 0; i < 100; ++i) {
-    tracker.OnStep(MakeStep(i, Seconds(i * 10), Seconds((i + 1) * 10)));
+    tracker.OnRun(MakeStep(i, Seconds(i * 10), Seconds((i + 1) * 10)));
   }
   EXPECT_DOUBLE_EQ(tracker.CumulativeEttr(Seconds(1000)), 1.0);
   EXPECT_DOUBLE_EQ(tracker.SlidingEttr(Seconds(1000), Seconds(500)), 1.0);
@@ -66,9 +60,9 @@ TEST(EttrTrackerTest, ZeroWallClockIsSafe) {
 
 TEST(MfuSeriesTest, RelativeMfuIsRatioToMinimum) {
   MfuSeries series;
-  series.OnStep(MakeStep(0, 0, Seconds(10), false, 0.2));
-  series.OnStep(MakeStep(1, Seconds(10), Seconds(20), false, 0.3));
-  series.OnStep(MakeStep(2, Seconds(20), Seconds(30), false, 0.25));
+  series.OnRun(MakeStep(0, 0, Seconds(10), false, 0.2));
+  series.OnRun(MakeStep(1, Seconds(10), Seconds(20), false, 0.3));
+  series.OnRun(MakeStep(2, Seconds(20), Seconds(30), false, 0.25));
   EXPECT_DOUBLE_EQ(series.MinMfu(), 0.2);
   EXPECT_DOUBLE_EQ(series.MaxMfu(), 0.3);
   const auto rel = series.RelativeMfu();
@@ -79,8 +73,8 @@ TEST(MfuSeriesTest, RelativeMfuIsRatioToMinimum) {
 
 TEST(MfuSeriesTest, RecomputeStepsAreExcluded) {
   MfuSeries series;
-  series.OnStep(MakeStep(0, 0, Seconds(10), true, 0.1));
-  EXPECT_TRUE(series.samples().empty());
+  series.OnRun(MakeStep(0, 0, Seconds(10), true, 0.1));
+  EXPECT_TRUE(series.Samples().empty());
   EXPECT_TRUE(series.RelativeMfu().empty());
 }
 
@@ -98,7 +92,7 @@ void FeedSyntheticCampaign(Fn&& feed) {
       ++run;
       step -= 20;  // rollback: the next 20 steps are recompute
     }
-    StepRecord rec = MakeStep(step, t, t + dur, /*recompute=*/false,
+    StepRun rec = MakeStep(step, t, t + dur, /*recompute=*/false,
                               /*mfu=*/0.25 + 0.1 * ((i * 13) % 50) / 50.0);
     rec.recompute = i % 500 >= 480;
     rec.run_id = run;
@@ -111,50 +105,50 @@ void FeedSyntheticCampaign(Fn&& feed) {
 TEST(EttrTrackerTest, WindowedCompactionIsBitIdenticalAtTheLiveEdge) {
   EttrTracker unbounded(0);
   EttrTracker windowed(0, Hours(2));
-  FeedSyntheticCampaign([&](const StepRecord& rec) {
-    unbounded.OnStep(rec);
-    windowed.OnStep(rec);
+  FeedSyntheticCampaign([&](const StepRun& rec) {
+    unbounded.OnRun(rec);
+    windowed.OnRun(rec);
     // Sliding queries at the live edge with window <= retention must be
-    // bit-identical (same spans walked, same summation order).
-    EXPECT_EQ(unbounded.SlidingEttr(rec.end, Hours(1)), windowed.SlidingEttr(rec.end, Hours(1)));
-    EXPECT_EQ(unbounded.SlidingEttr(rec.end, Hours(2)), windowed.SlidingEttr(rec.end, Hours(2)));
+    // bit-identical (the folded steps all end before the window).
+    EXPECT_EQ(unbounded.SlidingEttr(rec.end(), Hours(1)),
+              windowed.SlidingEttr(rec.end(), Hours(1)));
+    EXPECT_EQ(unbounded.SlidingEttr(rec.end(), Hours(2)),
+              windowed.SlidingEttr(rec.end(), Hours(2)));
   });
   EXPECT_EQ(unbounded.productive_time(), windowed.productive_time());
   EXPECT_EQ(unbounded.recompute_time(), windowed.recompute_time());
   EXPECT_EQ(unbounded.productive_steps(), windowed.productive_steps());
   EXPECT_EQ(unbounded.CumulativeEttr(Hours(11)), windowed.CumulativeEttr(Hours(11)));
   EXPECT_EQ(unbounded.productive_by_run(), windowed.productive_by_run());
-  // Memory actually stayed bounded: the 2 h window holds at most ~900 spans
+  // Memory actually stayed bounded: the 2 h window holds at most ~900 steps
   // of >= 8 s; everything older was folded into the running aggregates.
-  EXPECT_GT(windowed.spans_folded(), 0);
-  EXPECT_LT(windowed.retained_spans(), 1000u);
-  EXPECT_EQ(windowed.retained_spans() + static_cast<std::size_t>(windowed.spans_folded()),
-            unbounded.retained_spans());
+  EXPECT_GT(windowed.steps_folded(), 0);
+  EXPECT_LT(windowed.retained_steps(), 1000);
+  EXPECT_EQ(windowed.retained_steps() + windowed.steps_folded(), unbounded.retained_steps());
   EXPECT_GT(windowed.folded_productive(), 0);
   EXPECT_LE(windowed.folded_productive(), windowed.productive_time());
 }
 
 TEST(MfuSeriesTest, WindowedCompactionKeepsRunningAggregatesExact) {
   MfuSeries unbounded;
-  MfuSeries windowed;
-  windowed.SetRetention(Hours(2));
-  FeedSyntheticCampaign([&](const StepRecord& rec) {
-    unbounded.OnStep(rec);
-    windowed.OnStep(rec);
+  MfuSeries windowed(/*loss=*/nullptr, Hours(2));
+  FeedSyntheticCampaign([&](const StepRun& rec) {
+    unbounded.OnRun(rec);
+    windowed.OnRun(rec);
   });
   EXPECT_EQ(unbounded.MinMfu(), windowed.MinMfu());
   EXPECT_EQ(unbounded.MaxMfu(), windowed.MaxMfu());
-  EXPECT_EQ(unbounded.mfu_sum(), windowed.mfu_sum());
   EXPECT_EQ(unbounded.total_samples(), windowed.total_samples());
   EXPECT_GT(windowed.samples_folded(), 0);
-  EXPECT_LT(windowed.samples().size(), 1000u);
-  EXPECT_EQ(windowed.samples().size() + static_cast<std::size_t>(windowed.samples_folded()),
-            unbounded.samples().size());
+  const std::vector<MfuSample> all = unbounded.Samples();
+  const std::vector<MfuSample> tail = windowed.Samples();
+  EXPECT_LT(tail.size(), 1000u);
+  EXPECT_EQ(tail.size() + static_cast<std::size_t>(windowed.samples_folded()), all.size());
   // The retained tail is the suffix of the unbounded series.
-  const std::size_t offset = unbounded.samples().size() - windowed.samples().size();
-  for (std::size_t i = 0; i < windowed.samples().size(); ++i) {
-    EXPECT_EQ(unbounded.samples()[offset + i].time, windowed.samples()[i].time);
-    EXPECT_EQ(unbounded.samples()[offset + i].mfu, windowed.samples()[i].mfu);
+  const std::size_t offset = all.size() - tail.size();
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(all[offset + i].time, tail[i].time);
+    EXPECT_EQ(all[offset + i].mfu, tail[i].mfu);
   }
 }
 

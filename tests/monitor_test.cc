@@ -11,6 +11,7 @@
 
 #include "src/common/rng.h"
 #include "src/monitor/monitor.h"
+#include "tests/step_run_util.h"
 
 namespace byterobust {
 namespace {
@@ -31,7 +32,8 @@ class MonitorTest : public ::testing::Test {
       : cluster_(4, 2, 1), job_(SmallJob(), &sim_, &cluster_, 1), monitor_(MakeConfig(), &sim_,
                                                                            &cluster_, &job_) {
     monitor_.SetAnomalyHandler([this](const AnomalyReport& r) { reports_.push_back(r); });
-    job_.AddStepObserver([this](const StepRecord& rec) { monitor_.OnStepRecord(rec); });
+    job_.SetQuietPrefix([this](const StepRun& run) { return monitor_.QuietPrefix(run); });
+    job_.AddRunObserver([this](const StepRun& run) { monitor_.OnRun(run); });
   }
 
   static MonitorConfig MakeConfig() {
@@ -166,41 +168,56 @@ TEST_F(MonitorTest, MfuDeclineRuleFiresAfterSustainedDrop) {
   EXPECT_EQ(reports_.front().source, AnomalySource::kMfuDecline);
 }
 
+// The rules fed one step at a time, with each step's loss set in a table
+// curve: step i runs over [10 s * i, 10 s * (i + 1)).
+class OneStepFeed {
+ public:
+  explicit OneStepFeed(const MetricsRulesConfig& config) : rules_(config, &curve_) {}
+
+  std::optional<AnomalyReport> Feed(double loss, double mfu = 0.3, bool is_nan = false) {
+    curve_.Set(next_, loss);
+    const StepRun step = OneStep(next_, Seconds(10) * next_, Seconds(10) * (next_ + 1), mfu,
+                                 /*run_id=*/0, /*recompute=*/false, is_nan);
+    ++next_;
+    std::vector<AnomalyReport> reports = rules_.OnRun(step);
+    EXPECT_LE(reports.size(), 1u);
+    if (reports.empty()) {
+      return std::nullopt;
+    }
+    return reports.front();
+  }
+
+  MetricsRules& rules() { return rules_; }
+
+ private:
+  TableLossCurve curve_;
+  MetricsRules rules_;
+  std::int64_t next_ = 0;
+};
+
 TEST(MetricsRulesTest, SpikeRuleNeedsHistory) {
-  MetricsRules rules(MetricsRulesConfig{});
-  StepRecord rec;
-  rec.mfu = 0.3;
-  rec.loss = 2.0;
+  OneStepFeed feed(MetricsRulesConfig{});
   // Below half the trailing window: no spike detection yet.
   for (int i = 0; i < 20; ++i) {
-    rec.step = i;
-    EXPECT_FALSE(rules.OnStep(rec).has_value());
+    EXPECT_FALSE(feed.Feed(2.0).has_value());
   }
-  rec.loss = 11.0;  // > 5x the median of 2.0
-  const auto report = rules.OnStep(rec);
+  const auto report = feed.Feed(11.0);  // > 5x the median of 2.0
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->source, AnomalySource::kMetricSpike);
 }
 
 TEST(MetricsRulesTest, ResetClearsBaselines) {
-  MetricsRules rules(MetricsRulesConfig{});
-  StepRecord rec;
-  rec.mfu = 0.3;
-  rec.loss = 2.0;
+  OneStepFeed feed(MetricsRulesConfig{});
   for (int i = 0; i < 20; ++i) {
-    rules.OnStep(rec);
+    feed.Feed(2.0);
   }
-  rules.Reset();
-  rec.loss = 11.0;  // no history anymore: not a spike
-  EXPECT_FALSE(rules.OnStep(rec).has_value());
+  feed.rules().Reset();
+  EXPECT_FALSE(feed.Feed(11.0).has_value());  // no history anymore: not a spike
 }
 
 TEST(MetricsRulesTest, NanWinsOverEverything) {
-  MetricsRules rules(MetricsRulesConfig{});
-  StepRecord rec;
-  rec.is_nan = true;
-  rec.loss = std::nan("");
-  const auto report = rules.OnStep(rec);
+  OneStepFeed feed(MetricsRulesConfig{});
+  const auto report = feed.Feed(std::nan(""), 0.3, /*is_nan=*/true);
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->source, AnomalySource::kMetricNan);
 }
@@ -209,13 +226,9 @@ TEST(MetricsRulesTest, SpikeDetailNamesTheConfiguredFactor) {
   MetricsRulesConfig cfg;
   cfg.spike_factor = 2.5;
   cfg.trailing_window = 2;
-  MetricsRules rules(cfg);
-  StepRecord rec;
-  rec.mfu = 0.3;
-  rec.loss = 2.0;
-  EXPECT_FALSE(rules.OnStep(rec).has_value());
-  rec.loss = 5.5;
-  const auto report = rules.OnStep(rec);
+  OneStepFeed feed(cfg);
+  EXPECT_FALSE(feed.Feed(2.0).has_value());
+  const auto report = feed.Feed(5.5);
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->detail, "loss spike > 2.5x trailing median");
 }
@@ -227,17 +240,17 @@ class SortedWindowRules {
  public:
   explicit SortedWindowRules(const MetricsRulesConfig& config) : config_(config) {}
 
-  std::optional<AnomalyReport> OnStep(const StepRecord& record) {
+  std::optional<AnomalyReport> OnStep(double loss, double mfu, bool is_nan, SimTime end) {
     AnomalyReport report;
-    report.detect_time = record.end;
-    if (record.is_nan || std::isnan(record.loss)) {
+    report.detect_time = end;
+    if (is_nan || std::isnan(loss)) {
       report.source = AnomalySource::kMetricNan;
       report.symptom_hint = IncidentSymptom::kNanValue;
       return report;
     }
     if (static_cast<int>(recent_loss_.size()) >= config_.trailing_window / 2) {
       const double median = sorted_loss_.empty() ? 0.0 : sorted_loss_[sorted_loss_.size() / 2];
-      if (median > 0.0 && record.loss > config_.spike_factor * median) {
+      if (median > 0.0 && loss > config_.spike_factor * median) {
         report.source = AnomalySource::kMetricSpike;
         report.symptom_hint = IncidentSymptom::kNanValue;
         recent_loss_.clear();
@@ -245,16 +258,16 @@ class SortedWindowRules {
         return report;
       }
     }
-    recent_loss_.push_back(record.loss);
+    recent_loss_.push_back(loss);
     sorted_loss_.insert(
-        std::upper_bound(sorted_loss_.begin(), sorted_loss_.end(), record.loss), record.loss);
+        std::upper_bound(sorted_loss_.begin(), sorted_loss_.end(), loss), loss);
     while (static_cast<int>(recent_loss_.size()) > config_.trailing_window) {
       sorted_loss_.erase(
           std::lower_bound(sorted_loss_.begin(), sorted_loss_.end(), recent_loss_.front()));
       recent_loss_.pop_front();
     }
-    mfu_high_water_ = std::max(mfu_high_water_, record.mfu);
-    if (mfu_high_water_ > 0.0 && record.mfu < config_.decline_ratio * mfu_high_water_) {
+    mfu_high_water_ = std::max(mfu_high_water_, mfu);
+    if (mfu_high_water_ > 0.0 && mfu < config_.decline_ratio * mfu_high_water_) {
       ++decline_run_;
       if (decline_run_ >= config_.decline_steps) {
         decline_run_ = 0;
@@ -289,43 +302,42 @@ enum class LossShape { kDecaying, kRising, kConstant };
 // step for step. Returns how many reports fired, so callers can tell the
 // stream actually exercised the rules.
 int ExpectSameVerdicts(const MetricsRulesConfig& cfg, LossShape shape, std::uint64_t seed) {
-  MetricsRules rules(cfg);
+  OneStepFeed feed(cfg);
   SortedWindowRules oracle(cfg);
   Rng rng(seed);
   int fired = 0;
   std::int64_t curve_step = 0;
   for (int i = 0; i < 3000; ++i) {
     if (rng.Bernoulli(0.01)) {
-      rules.Reset();
+      feed.rules().Reset();
       oracle.Reset();
     }
-    StepRecord rec;
-    rec.step = i;
-    rec.end = Seconds(10) * (i + 1);
-    rec.mfu = rng.Bernoulli(0.05) ? 0.2 : 0.4;
+    const double mfu = rng.Bernoulli(0.05) ? 0.2 : 0.4;
     const double noise = 1.0 + 0.05 * rng.Uniform(-1.0, 1.0);
+    double loss = 0.0;
     switch (shape) {
       case LossShape::kDecaying:
-        rec.loss = 1.5 + 4.0 * std::pow(1.0 + i / 100.0, -0.5) * noise;
+        loss = 1.5 + 4.0 * std::pow(1.0 + i / 100.0, -0.5) * noise;
         break;
       case LossShape::kRising:
         // Rollback-like: the curve rewinds to an earlier, higher-loss step.
         curve_step = rng.Bernoulli(0.02) ? curve_step / 4 : curve_step + 1;
-        rec.loss = 1.5 + 4.0 * std::pow(1.0 + curve_step / 50.0, -0.5) * noise;
+        loss = 1.5 + 4.0 * std::pow(1.0 + curve_step / 50.0, -0.5) * noise;
         break;
       case LossShape::kConstant:
-        rec.loss = 2.0;
+        loss = 2.0;
         break;
     }
     if (rng.Bernoulli(0.03)) {
-      rec.loss *= rng.Uniform(5.0, 60.0);  // injected spike
+      loss *= rng.Uniform(5.0, 60.0);  // injected spike
     }
+    bool is_nan = false;
     if (rng.Bernoulli(0.01)) {
-      rec.is_nan = true;
-      rec.loss = std::nan("");
+      is_nan = true;
+      loss = std::nan("");
     }
-    const auto expected = oracle.OnStep(rec);
-    const auto actual = rules.OnStep(rec);
+    const auto expected = oracle.OnStep(loss, mfu, is_nan, Seconds(10) * (i + 1));
+    const auto actual = feed.Feed(loss, mfu, is_nan);
     EXPECT_EQ(actual.has_value(), expected.has_value())
         << "step " << i << " window " << cfg.trailing_window << " factor " << cfg.spike_factor;
     if (actual.has_value() && expected.has_value()) {
@@ -357,24 +369,22 @@ TEST(MetricsRulesDifferentialTest, MatchesSortedWindowOracle) {
 TEST(MetricsRulesDifferentialTest, ExactMedianFallbackDoesNotFire) {
   MetricsRulesConfig cfg;
   cfg.trailing_window = 7;
-  MetricsRules rules(cfg);
+  OneStepFeed feed(cfg);
   SortedWindowRules oracle(cfg);
-  StepRecord rec;
-  rec.mfu = 0.3;
-  const auto feed = [&](double loss) {
-    rec.loss = loss;
-    rec.end += Seconds(10);
-    const auto expected = oracle.OnStep(rec);
-    const auto actual = rules.OnStep(rec);
+  SimTime end = 0;
+  const auto step = [&](double loss) {
+    end += Seconds(10);
+    const auto expected = oracle.OnStep(loss, 0.3, false, end);
+    const auto actual = feed.Feed(loss);
     EXPECT_EQ(actual.has_value(), expected.has_value()) << "loss " << loss;
     return actual.has_value();
   };
-  EXPECT_FALSE(feed(1.0));  // lower = 1
+  EXPECT_FALSE(step(1.0));  // lower = 1
   for (int i = 0; i < 6; ++i) {
-    EXPECT_FALSE(feed(10.0));  // window {1, 10 x 6}: upper median 10
+    EXPECT_FALSE(step(10.0));  // window {1, 10 x 6}: upper median 10
   }
-  EXPECT_FALSE(feed(20.0));  // 20 > 5 * 1 but 20 <= 5 * 10
-  EXPECT_TRUE(feed(51.0));   // 51 > 5 * 10
+  EXPECT_FALSE(step(20.0));  // 20 > 5 * 1 but 20 <= 5 * 10
+  EXPECT_TRUE(step(51.0));   // 51 > 5 * 10
 }
 
 }  // namespace

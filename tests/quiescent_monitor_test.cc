@@ -35,7 +35,8 @@ struct Fixture {
         job(SmallJob(), &sim, &cluster, 1),
         monitor(MakeConfig(quiescent), &sim, &cluster, &job) {
     monitor.SetAnomalyHandler([this](const AnomalyReport& r) { reports.push_back(r); });
-    job.AddStepObserver([this](const StepRecord& rec) { monitor.OnStepRecord(rec); });
+    job.SetQuietPrefix([this](const StepRun& run) { return monitor.QuietPrefix(run); });
+    job.AddRunObserver([this](const StepRun& run) { monitor.OnRun(run); });
   }
 
   Simulator sim;

@@ -7,21 +7,10 @@
 #include <sstream>
 
 #include "src/metrics/report.h"
+#include "tests/step_run_util.h"
 
 namespace byterobust {
 namespace {
-
-StepRecord MakeStep(std::int64_t step, SimTime start, SimTime end, double mfu, double loss,
-                    int run) {
-  StepRecord rec;
-  rec.step = step;
-  rec.start = start;
-  rec.end = end;
-  rec.mfu = mfu;
-  rec.loss = loss;
-  rec.run_id = run;
-  return rec;
-}
 
 int CountLines(const std::string& s) {
   int n = 0;
@@ -34,20 +23,25 @@ int CountLines(const std::string& s) {
 }
 
 TEST(ReportTest, MfuSeriesCsvHasHeaderAndRows) {
-  MfuSeries series;
-  series.OnStep(MakeStep(0, 0, Seconds(10), 0.30, 5.0, 1));
-  series.OnStep(MakeStep(1, Seconds(10), Seconds(20), 0.36, 4.8, 1));
+  TableLossCurve loss;
+  loss.Set(0, 5.0);
+  loss.Set(1, 4.8);
+  MfuSeries series(&loss);
+  series.OnRun(OneStep(0, 0, Seconds(10), 0.30, 1));
+  series.OnRun(OneStep(1, Seconds(10), Seconds(20), 0.36, 1));
   const std::string csv = MfuSeriesCsv(series);
   EXPECT_EQ(CountLines(csv), 3);
   EXPECT_NE(csv.find("time_s,step,loss,mfu,relative_mfu,run_id"), std::string::npos);
-  // Relative MFU is baselined on the first sample.
-  EXPECT_NE(csv.find("1.2000"), std::string::npos);
+  // Losses are read from the curve; relative MFU is baselined on the first
+  // sample.
+  EXPECT_NE(csv.find("10.0,0,5.000000,0.3000,1.0000,1\n"), std::string::npos);
+  EXPECT_NE(csv.find("20.0,1,4.800000,0.3600,1.2000,1\n"), std::string::npos);
 }
 
 TEST(ReportTest, MfuSeriesCsvStrideDownsamples) {
   MfuSeries series;
   for (int i = 0; i < 10; ++i) {
-    series.OnStep(MakeStep(i, Seconds(i * 10), Seconds((i + 1) * 10), 0.3, 2.0, 1));
+    series.OnRun(OneStep(i, Seconds(i * 10), Seconds((i + 1) * 10), 0.3, 1));
   }
   EXPECT_EQ(CountLines(MfuSeriesCsv(series, 5)), 1 + 2);
   EXPECT_EQ(CountLines(MfuSeriesCsv(series, 0)), 1 + 10);  // stride clamped to 1
@@ -56,7 +50,7 @@ TEST(ReportTest, MfuSeriesCsvStrideDownsamples) {
 TEST(ReportTest, EttrCurveCsvSamplesRequestedPoints) {
   EttrTracker tracker(0);
   for (int i = 0; i < 100; ++i) {
-    tracker.OnStep(MakeStep(i, Seconds(i * 10), Seconds((i + 1) * 10), 0.3, 2.0, 1));
+    tracker.OnRun(OneStep(i, Seconds(i * 10), Seconds((i + 1) * 10), 0.3, 1));
   }
   const std::string csv = EttrCurveCsv(tracker, Seconds(1000), 10);
   EXPECT_EQ(CountLines(csv), 11);

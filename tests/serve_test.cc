@@ -294,12 +294,13 @@ TEST_F(ServeDaemonTest, QueueFullShedsWhileInFlightRequestIsUnaffected) {
   std::string error;
   ASSERT_TRUE(daemon.Start(&error)) << error;
 
-  // Occupy the only slot with a deadline-bounded long request, then shed a
-  // second one; the first must still complete as a valid partial document.
+  // Occupy the only slot with a deadline-bounded long request (1024
+  // dense-month seeds take several seconds at jobs 1), then shed a second
+  // one; the first must still complete as a valid partial document.
   std::string long_response;
   std::thread occupier([this, &long_response] {
     long_response = Roundtrip(
-        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":64,"
+        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,"
         "\"jobs\":1,\"deadline_s\":0.8}");
   });
   // Wait until the occupier is actually executing before probing admission.
@@ -345,7 +346,7 @@ TEST_F(ServeDaemonTest, ConcurrentRequestsOnOneJournalPathAreRejected) {
   std::string long_response;
   std::thread occupier([this, &journal, &long_response] {
     long_response = Roundtrip(
-        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":64,"
+        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,"
         "\"jobs\":1,\"deadline_s\":0.8,\"journal\":\"" + journal + "\"}");
   });
   for (int i = 0; i < 100 && daemon.Snapshot().active_requests == 0; ++i) {
