@@ -1,9 +1,7 @@
-// Unit tests for the MegaScale-style RDMA hang detector and the Sec. 7
-// unified event bus.
+// Unit tests for the MegaScale-style RDMA hang detector.
 
 #include <gtest/gtest.h>
 
-#include "src/analyzer/event_bus.h"
 #include "src/monitor/rdma_monitor.h"
 
 namespace byterobust {
@@ -66,78 +64,6 @@ TEST(RdmaDetectorTest, NoisyBlipsDoNotAccumulate) {
     // Alternating low/high never reaches 6 consecutive lows.
     EXPECT_FALSE(detector.OnSample(now, i % 2 == 0 ? 0.0 : 0.8).has_value());
   }
-}
-
-TEST(EventBusTest, PublishDispatchesToKindAndAllSubscribers) {
-  EventBus bus;
-  int host_events = 0;
-  int all_events = 0;
-  bus.Subscribe(UnifiedEventKind::kHostAnomaly, [&](const UnifiedEvent&) { ++host_events; });
-  bus.SubscribeAll([&](const UnifiedEvent&) { ++all_events; });
-  bus.Publish({UnifiedEventKind::kHostAnomaly, Seconds(1), 3, IncidentSymptom::kOsKernelPanic,
-               "xid in dmesg"});
-  bus.Publish({UnifiedEventKind::kMetric, Seconds(2), -1, IncidentSymptom::kMfuDecline, ""});
-  EXPECT_EQ(host_events, 1);
-  EXPECT_EQ(all_events, 2);
-  EXPECT_EQ(bus.published(), 2u);
-}
-
-TEST(EventBusTest, HistoryIsBounded) {
-  EventBus bus(/*history_capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    bus.Publish({UnifiedEventKind::kLog, Seconds(i), -1, IncidentSymptom::kCudaError, ""});
-  }
-  EXPECT_EQ(bus.history().size(), 4u);
-  EXPECT_EQ(bus.history().front().time, Seconds(6));
-}
-
-TEST(EventBusTest, HistoryRingPreservesOrderAcrossWraparound) {
-  EventBus bus(/*history_capacity=*/3);
-  for (int i = 0; i < 8; ++i) {
-    bus.Publish({UnifiedEventKind::kLog, Seconds(i), i, IncidentSymptom::kCudaError, ""});
-  }
-  // Retained: events 5, 6, 7 oldest-first, with the ring reusing slots.
-  ASSERT_EQ(bus.history().size(), 3u);
-  EXPECT_EQ(bus.history().front().time, Seconds(5));
-  EXPECT_EQ(bus.history()[1].time, Seconds(6));
-  EXPECT_EQ(bus.history().back().time, Seconds(7));
-  EXPECT_EQ(bus.published(), 8u);
-  // Correlate walks newest-first across the wrapped boundary.
-  const auto hits = bus.Correlate(6, Seconds(7), Seconds(5));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].time, Seconds(6));
-}
-
-TEST(EventBusTest, CorrelateFiltersByMachineAndWindow) {
-  EventBus bus;
-  bus.Publish({UnifiedEventKind::kHostAnomaly, Minutes(1), 5, IncidentSymptom::kMfuDecline,
-               "gpu 92C"});
-  bus.Publish({UnifiedEventKind::kMetric, Minutes(2), 5, IncidentSymptom::kMfuDecline, ""});
-  bus.Publish({UnifiedEventKind::kMetric, Minutes(2), 6, IncidentSymptom::kMfuDecline, ""});
-  bus.Publish({UnifiedEventKind::kLog, Minutes(30), 5, IncidentSymptom::kCudaError, ""});
-
-  const auto hits = bus.Correlate(5, Minutes(3), Minutes(5));
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].kind, UnifiedEventKind::kMetric);  // newest first
-  EXPECT_EQ(hits[1].kind, UnifiedEventKind::kHostAnomaly);
-}
-
-TEST(EventBusTest, GrayFailureCorrelationRule) {
-  // Sec. 8.1.1: overheating (host anomaly) + MFU degradation (metric) on the
-  // same machine within the window verifies a thermal gray failure.
-  EventBus bus;
-  bus.Publish({UnifiedEventKind::kHostAnomaly, Minutes(10), 7, IncidentSymptom::kMfuDecline,
-               "gpu over 85C"});
-  bus.Publish({UnifiedEventKind::kMetric, Minutes(11), 7, IncidentSymptom::kMfuDecline,
-               "mfu -25%"});
-  EXPECT_TRUE(bus.HasCorrelatedPair(7, Minutes(12), Minutes(5), UnifiedEventKind::kHostAnomaly,
-                                    UnifiedEventKind::kMetric));
-  EXPECT_FALSE(bus.HasCorrelatedPair(8, Minutes(12), Minutes(5),
-                                     UnifiedEventKind::kHostAnomaly,
-                                     UnifiedEventKind::kMetric));
-  // Outside the window the pair no longer correlates.
-  EXPECT_FALSE(bus.HasCorrelatedPair(7, Hours(2), Minutes(5), UnifiedEventKind::kHostAnomaly,
-                                     UnifiedEventKind::kMetric));
 }
 
 }  // namespace

@@ -2,84 +2,51 @@
 # campaign completes, reports the poisoned seed in a structured "failed_runs"
 # block, exits with the completed-with-quarantined code (20), and the
 # surviving seeds are unchanged. Verified on the default (spill) path and the
-# --stream path, and the two must agree on the surviving runs.
+# --stream path, each against the same clean run.
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_campaign_quarantine.cmake
 
-foreach(var CLI WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "${var} is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/check_lib.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+set(scenario campaign --scenario gpu-fault --seeds 4 --days 0.2 --seed 42)
 
-set(scenario "campaign;--scenario;gpu-fault;--seeds;4;--days;0.2;--seed;42")
+br_run(${scenario} --out ${WORK_DIR}/clean.json)
+file(READ ${WORK_DIR}/clean.json clean)
 
-execute_process(
-    COMMAND ${CLI} ${scenario} --out ${WORK_DIR}/clean.json
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "clean reference campaign failed: ${rc}")
-endif()
-
+set(flags_stream --stream)
 foreach(mode default stream)
-  set(extra "")
-  if(mode STREQUAL "stream")
-    set(extra "--stream")
-  endif()
-  execute_process(
-      COMMAND ${CMAKE_COMMAND} -E env BYTEROBUST_HARNESS_FAULTS=crash_seed:2
-          ${CLI} ${scenario} --jobs 2 ${extra}
-          --out ${WORK_DIR}/quarantine_${mode}.json
-      OUTPUT_QUIET
-      ERROR_QUIET
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 20)
-    message(FATAL_ERROR
-        "quarantined campaign (${mode}) exited ${rc}, expected 20")
-  endif()
-endforeach()
+  set(out ${WORK_DIR}/quarantine_${mode}.json)
+  br_run(${scenario} --jobs 2 ${flags_${mode}} --out ${out}
+      EXPECT 20 ENV BYTEROBUST_HARNESS_FAULTS=crash_seed:2)
+  file(READ ${out} doc)
 
-find_program(PYTHON3 NAMES python3 python)
-if(PYTHON3)
-  execute_process(
-      COMMAND ${PYTHON3} -c "
-import json, sys
-clean = json.load(open(sys.argv[1]))
-for path in sys.argv[2:]:
-    doc = json.load(open(path))
-    failed = doc.get('failed_runs')
-    assert failed and len(failed) == 1, '%s: expected exactly one failed run' % path
-    entry = failed[0]
-    assert entry['index'] == 2, '%s: wrong quarantined index' % path
-    assert entry['seed'] == 44, '%s: wrong quarantined seed' % path
-    assert entry['attempts'] >= 1, '%s: missing attempt count' % path
-    assert 'error' in entry and entry['error'], '%s: missing error text' % path
-    survivors = [r['seed'] for r in doc['runs']]
-    assert survivors == [42, 43, 45], '%s: surviving seeds %r' % (path, survivors)
-    expected = [r for r in clean['runs'] if r['seed'] != 44]
-    assert doc['runs'] == expected, '%s: surviving runs were perturbed' % path
-" ${WORK_DIR}/clean.json
-        ${WORK_DIR}/quarantine_default.json ${WORK_DIR}/quarantine_stream.json
-      RESULT_VARIABLE check)
-  if(NOT check EQUAL 0)
-    message(FATAL_ERROR "quarantine output failed structural validation")
+  # Exactly one failed run: index 2 (seed 44), with an attempt count and error.
+  string(JSON failed LENGTH "${doc}" failed_runs)
+  string(JSON index GET "${doc}" failed_runs 0 index)
+  string(JSON seed GET "${doc}" failed_runs 0 seed)
+  string(JSON attempts GET "${doc}" failed_runs 0 attempts)
+  string(JSON error GET "${doc}" failed_runs 0 error)
+  if(NOT failed EQUAL 1 OR NOT index EQUAL 2 OR NOT seed EQUAL 44
+     OR attempts LESS 1 OR error STREQUAL "")
+    message(FATAL_ERROR "${out}: expected one failed run (index 2, seed 44, "
+        "attempts >= 1, error text), got ${failed} (index ${index}, seed ${seed}, "
+        "attempts ${attempts}, error '${error}')")
   endif()
-else()
-  foreach(mode default stream)
-    file(READ ${WORK_DIR}/quarantine_${mode}.json doc)
-    string(FIND "${doc}" "\"failed_runs\":" pos)
-    if(pos EQUAL -1)
-      message(FATAL_ERROR "quarantine output (${mode}) is missing failed_runs")
-    endif()
-    string(REGEX MATCHALL "\"seed\": 44" poisoned "${doc}")
-    list(LENGTH poisoned poisoned_count)
-    if(NOT poisoned_count EQUAL 1)
-      message(FATAL_ERROR
-          "quarantine output (${mode}) mentions seed 44 ${poisoned_count} times, expected 1")
+
+  # The survivors are seeds 42, 43 and 45, each run unchanged from the clean run.
+  br_indices(runs "${doc}" runs)
+  if(NOT runs STREQUAL "0;1;2")
+    message(FATAL_ERROR "${out}: expected 3 surviving runs")
+  endif()
+  set(clean_indices 0 1 3)
+  set(seeds 42 43 45)
+  foreach(i clean_i want_seed IN ZIP_LISTS runs clean_indices seeds)
+    string(JSON run GET "${doc}" runs ${i})
+    string(JSON clean_run GET "${clean}" runs ${clean_i})
+    string(JSON run_seed GET "${run}" seed)
+    if(NOT run_seed EQUAL want_seed OR NOT run STREQUAL clean_run)
+      message(FATAL_ERROR "${out}: surviving run ${i} (seed ${run_seed}) differs "
+          "from the clean run of seed ${want_seed}")
     endif()
   endforeach()
-endif()
+endforeach()

@@ -8,139 +8,47 @@
 #   3. resuming that journal — at --jobs 1, --jobs 8, and under --stream —
 #      completes with exit 0 and byte-identical merged output (the --stream
 #      resume is compared against a straight --stream run, since --stream uses
-#      the incremental document layout).
+#      the incremental document layout);
+#   4. a journal with a mismatched campaign identity is refused (exit 2).
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_campaign_resume.cmake
 
-foreach(var CLI WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "${var} is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/check_lib.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-set(scenario "campaign;--scenario;gpu-fault;--seeds;6;--days;0.2;--seed;42")
+set(scenario campaign --scenario gpu-fault --seeds 6 --days 0.2 --seed 42)
+set(w ${WORK_DIR})
 
 # References: plain (spill-streaming default) and --stream layouts.
-execute_process(
-    COMMAND ${CLI} ${scenario} --out ${WORK_DIR}/ref_default.json
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "reference campaign failed: ${rc}")
-endif()
-execute_process(
-    COMMAND ${CLI} ${scenario} --stream --out ${WORK_DIR}/ref_stream.json
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "reference --stream campaign failed: ${rc}")
-endif()
+br_run(${scenario} --out ${w}/ref_default.json)
+br_run(${scenario} --stream --out ${w}/ref_stream.json)
 
-# A journalled (but uninterrupted) run must not perturb output bytes.
-execute_process(
-    COMMAND ${CLI} ${scenario} --journal ${WORK_DIR}/full.journal
-        --out ${WORK_DIR}/journalled.json
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "journalled campaign failed: ${rc}")
-endif()
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-        ${WORK_DIR}/ref_default.json ${WORK_DIR}/journalled.json
-    RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "--journal changed campaign output bytes")
-endif()
+br_run(${scenario} --journal ${w}/full.journal --out ${w}/journalled.json)
+br_same_bytes(${w}/ref_default.json ${w}/journalled.json "--journal output")
 
-# Interrupt a journalled run after 2 committed seeds; expect the distinct
-# interrupted exit code (30) and a journal holding the committed prefix.
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env BYTEROBUST_HARNESS_FAULTS=stop_after:2
-        ${CLI} ${scenario} --jobs 1 --journal ${WORK_DIR}/partial.journal
-        --out ${WORK_DIR}/interrupted.json
-    OUTPUT_QUIET
-    ERROR_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 30)
-  message(FATAL_ERROR "interrupted campaign exited ${rc}, expected 30")
-endif()
+br_run(${scenario} --jobs 1 --journal ${w}/partial.journal --out ${w}/interrupted.json
+    EXPECT 30 ENV BYTEROBUST_HARNESS_FAULTS=stop_after:2)
 
-# Resume the same partial journal three ways. Each resume works on its own
-# copy: completing a resume completes the journal, and we want every variant
-# to start from the interrupted state.
+# Each resume works on its own copy: completing a resume completes the
+# journal, and every variant must start from the interrupted state.
 foreach(mode jobs1 jobs8 stream)
-  configure_file(${WORK_DIR}/partial.journal ${WORK_DIR}/resume_${mode}.journal COPYONLY)
+  configure_file(${w}/partial.journal ${w}/resume_${mode}.journal COPYONLY)
 endforeach()
 
 foreach(jobs 1 8)
-  execute_process(
-      COMMAND ${CLI} ${scenario} --jobs ${jobs}
-          --resume ${WORK_DIR}/resume_jobs${jobs}.journal
-          --out ${WORK_DIR}/resumed_jobs${jobs}.json
-      OUTPUT_QUIET
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "resume (--jobs ${jobs}) failed: ${rc}")
-  endif()
-  execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/ref_default.json ${WORK_DIR}/resumed_jobs${jobs}.json
-      RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR
-        "resumed campaign (--jobs ${jobs}) is not byte-identical to the reference")
-  endif()
+  br_run(${scenario} --jobs ${jobs} --resume ${w}/resume_jobs${jobs}.journal
+      --out ${w}/resumed_jobs${jobs}.json)
+  br_same_bytes(${w}/ref_default.json ${w}/resumed_jobs${jobs}.json
+      "resumed campaign (--jobs ${jobs})")
 endforeach()
 
-execute_process(
-    COMMAND ${CLI} ${scenario} --jobs 8 --stream
-        --resume ${WORK_DIR}/resume_stream.journal
-        --out ${WORK_DIR}/resumed_stream.json
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume (--stream) failed: ${rc}")
-endif()
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-        ${WORK_DIR}/ref_stream.json ${WORK_DIR}/resumed_stream.json
-    RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR
-      "resumed --stream campaign is not byte-identical to the --stream reference")
-endif()
+br_run(${scenario} --jobs 8 --stream --resume ${w}/resume_stream.journal
+    --out ${w}/resumed_stream.json)
+br_same_bytes(${w}/ref_stream.json ${w}/resumed_stream.json "resumed --stream campaign")
 
 # A completed journal resumes to the same bytes again without re-running seeds.
-execute_process(
-    COMMAND ${CLI} ${scenario} --resume ${WORK_DIR}/resume_jobs1.journal
-        --out ${WORK_DIR}/resumed_again.json
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "full-resume of a completed journal failed: ${rc}")
-endif()
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-        ${WORK_DIR}/ref_default.json ${WORK_DIR}/resumed_again.json
-    RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "full-resume output is not byte-identical to the reference")
-endif()
+br_run(${scenario} --resume ${w}/resume_jobs1.journal --out ${w}/resumed_again.json)
+br_same_bytes(${w}/ref_default.json ${w}/resumed_again.json "full resume of a completed journal")
 
-# Identity mismatch must be rejected as a setup error (exit 2), not silently
-# merged into the wrong campaign.
-execute_process(
-    COMMAND ${CLI} campaign --scenario gpu-fault --seeds 7 --days 0.2 --seed 42
-        --resume ${WORK_DIR}/resume_jobs8.journal
-        --out ${WORK_DIR}/mismatch.json
-    OUTPUT_QUIET
-    ERROR_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR
-      "resume with a mismatched campaign identity exited ${rc}, expected 2")
-endif()
+# Identity mismatch is a setup error, not a silent merge into the wrong campaign.
+br_run(campaign --scenario gpu-fault --seeds 7 --days 0.2 --seed 42
+    --resume ${w}/resume_jobs8.journal --out ${w}/mismatch.json EXPECT 2)

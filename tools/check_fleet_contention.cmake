@@ -1,54 +1,27 @@
 # ctest helper: the fleet-contention scenario must exhibit measurable
 # spare-pool contention — at least one preemption or queued claim across the
-# campaign's per-job JSON (the PR 5 acceptance criterion).
+# campaign's per-job JSON.
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_fleet_contention.cmake
 
-foreach(var CLI WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "${var} is required")
-  endif()
+include(${CMAKE_CURRENT_LIST_DIR}/check_lib.cmake)
+
+br_run(fleet --scenario fleet-contention --seeds 4 --out ${WORK_DIR}/fleet_contention.json)
+file(READ ${WORK_DIR}/fleet_contention.json doc)
+
+set(contention 0)
+br_indices(runs "${doc}" runs)
+foreach(r IN LISTS runs)
+  string(JSON run GET "${doc}" runs ${r})
+  br_indices(jobs "${run}" jobs)
+  foreach(j IN LISTS jobs)
+    string(JSON spares GET "${run}" jobs ${j} spares)
+    string(JSON gained GET "${spares}" preemptions_gained)
+    string(JSON queued GET "${spares}" queued_claims)
+    math(EXPR contention "${contention} + ${gained} + ${queued}")
+  endforeach()
 endforeach()
-
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-execute_process(
-    COMMAND ${CLI} fleet --scenario fleet-contention --seeds 4
-            --out ${WORK_DIR}/fleet_contention.json
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fleet-contention campaign failed with ${rc}")
+if(contention LESS 1)
+  message(FATAL_ERROR "fleet-contention shows no spare-pool contention")
 endif()
-
-find_program(PYTHON3 NAMES python3 python)
-if(PYTHON3)
-  execute_process(
-      COMMAND ${PYTHON3} -c "
-import json, sys
-doc = json.load(open(sys.argv[1]))
-contention = 0
-for run in doc['runs']:
-    for job in run['jobs']:
-        spares = job['spares']
-        contention += spares['preemptions_gained'] + spares['queued_claims']
-assert contention >= 1, 'no preemption or queued claim across %d seeds' % len(doc['runs'])
-print('fleet-contention: %d contention events' % contention)
-" ${WORK_DIR}/fleet_contention.json
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "fleet-contention shows no spare-pool contention")
-  endif()
-else()
-  # Structural fallback: the aggregate preemptions block must not be all-zero.
-  file(READ ${WORK_DIR}/fleet_contention.json doc)
-  string(REGEX MATCH
-      "\"preemptions\": \\{\n      \"mean\": 0,\n      \"min\": 0,\n      \"max\": 0"
-      zero_preemptions "${doc}")
-  string(REGEX MATCH
-      "\"queued_claims\": \\{\n      \"mean\": 0,\n      \"min\": 0,\n      \"max\": 0"
-      zero_queued "${doc}")
-  if(zero_preemptions AND zero_queued)
-    message(FATAL_ERROR "fleet-contention shows no spare-pool contention")
-  endif()
-endif()
+message(STATUS "fleet-contention: ${contention} contention events")

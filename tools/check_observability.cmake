@@ -3,173 +3,87 @@
 # BYTEROBUST_TRACE) enabled vs. disabled — across all three campaign output
 # paths (buffered, spill streaming, --stream) at --jobs 1 and 8 — and every
 # emitted trace must pass tools/trace_validate.py (balanced B/E spans,
-# monotone per-track timestamps) and hold exactly one "seed" span per seed. Dashboards must themselves be
-# byte-identical across --jobs and output paths (they sample the simulation,
-# not the scheduler).
+# monotone per-track timestamps) and hold exactly one "seed" span per seed.
+# Dashboards must themselves be byte-identical across --jobs and output paths
+# (they sample the simulation, not the scheduler).
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_observability.cmake
 
-foreach(var CLI WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "${var} is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/check_lib.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-get_filename_component(TOOLS_DIR ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
 find_program(PYTHON3 python3)
-
 function(validate_trace trace)
   if(NOT PYTHON3)
     return()  # trace structure is still exercised; validation needs python3
   endif()
   execute_process(
-      COMMAND ${PYTHON3} ${TOOLS_DIR}/trace_validate.py ${ARGN} ${trace}
+      COMMAND ${PYTHON3} ${CMAKE_CURRENT_FUNCTION_LIST_DIR}/trace_validate.py ${trace}
       RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "trace ${trace} failed trace_validate.py")
   endif()
 endfunction()
 
+set(w ${WORK_DIR})
 set(campaign_seeds 3)
 set(fleet_seeds 2)
-set(campaign_cmd "campaign;--scenario;quickstart;--seeds;${campaign_seeds};--days;0.1")
-set(fleet_cmd "fleet;--scenario;fleet-mixed;--seeds;${fleet_seeds}")
+set(campaign_cmd campaign --scenario quickstart --seeds ${campaign_seeds} --days 0.1)
+set(fleet_cmd fleet --scenario fleet-mixed --seeds ${fleet_seeds})
 
-# Clean references for both document layouts, per command.
 foreach(kind campaign fleet)
-  foreach(layout default stream)
-    set(extra "")
-    if(layout STREQUAL "stream")
-      set(extra "--stream")
-    endif()
-    execute_process(
-        COMMAND ${CLI} ${${kind}_cmd} ${extra} --out ${WORK_DIR}/ref_${kind}_${layout}.json
-        OUTPUT_QUIET RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "clean ${kind} ${layout} reference failed: ${rc}")
-    endif()
-  endforeach()
-endforeach()
+  # Clean references for both document layouts.
+  br_run(${${kind}_cmd} --out ${w}/ref_${kind}_default.json)
+  br_run(${${kind}_cmd} --stream --out ${w}/ref_${kind}_stream.json)
 
-# Observability on: every path x jobs combination must reproduce the clean
-# bytes, emit a valid trace, and emit the same dashboard as every other
-# combination of the same command.
-foreach(kind campaign fleet)
+  # Observability on: every path x jobs combination reproduces the clean
+  # bytes, emits a valid trace, and emits the same dashboard as the first.
   set(first_dash "")
   foreach(jobs 1 8)
     foreach(path buffered spill stream)
       set(tag ${kind}_${path}_${jobs})
-      set(ref ${WORK_DIR}/ref_${kind}_default.json)
+      set(ref ${w}/ref_${kind}_default.json)
       set(stream_env BYTEROBUST_STREAM_CAMPAIGN=1)
       set(extra "")
       if(path STREQUAL "buffered")
         set(stream_env BYTEROBUST_STREAM_CAMPAIGN=0)
       elseif(path STREQUAL "stream")
         set(extra "--stream")
-        set(ref ${WORK_DIR}/ref_${kind}_stream.json)
+        set(ref ${w}/ref_${kind}_stream.json)
       endif()
-      execute_process(
-          COMMAND ${CMAKE_COMMAND} -E env ${stream_env}
-              ${CLI} ${${kind}_cmd} --jobs ${jobs} ${extra}
-              --trace ${WORK_DIR}/trace_${tag}.json
-              --dashboard ${WORK_DIR}/dash_${tag}.json
-              --out ${WORK_DIR}/out_${tag}.json
-          OUTPUT_QUIET RESULT_VARIABLE rc)
-      if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "observed ${kind} (${path}, --jobs ${jobs}) exited ${rc}")
-      endif()
-      execute_process(
-          COMMAND ${CMAKE_COMMAND} -E compare_files ${ref} ${WORK_DIR}/out_${tag}.json
-          RESULT_VARIABLE diff)
-      if(NOT diff EQUAL 0)
-        message(FATAL_ERROR
-            "${kind} output (${path}, --jobs ${jobs}) changed with observability on")
-      endif()
-      validate_trace(${WORK_DIR}/trace_${tag}.json)
+      br_run(${${kind}_cmd} --jobs ${jobs} ${extra} --trace ${w}/trace_${tag}.json
+          --dashboard ${w}/dash_${tag}.json --out ${w}/out_${tag}.json ENV ${stream_env})
+      br_same_bytes(${ref} ${w}/out_${tag}.json
+          "${kind} output (${path}, --jobs ${jobs}) with observability on")
+      validate_trace(${w}/trace_${tag}.json)
       # Every path runs its seeds through the same worker loop: exactly one
       # "seed" occupancy span per seed, whatever the path and --jobs.
-      file(STRINGS ${WORK_DIR}/trace_${tag}.json seed_spans
-          REGEX "\"ph\":\"B\",.*\"name\":\"seed\",")
+      file(STRINGS ${w}/trace_${tag}.json seed_spans REGEX "\"ph\":\"B\",.*\"name\":\"seed\",")
       list(LENGTH seed_spans seed_span_count)
       if(NOT seed_span_count EQUAL ${kind}_seeds)
         message(FATAL_ERROR "${kind} trace (${path}, --jobs ${jobs}) holds "
             "${seed_span_count} seed spans, expected ${${kind}_seeds}")
       endif()
       if(first_dash STREQUAL "")
-        set(first_dash ${WORK_DIR}/dash_${tag}.json)
+        set(first_dash ${w}/dash_${tag}.json)
       else()
-        execute_process(
-            COMMAND ${CMAKE_COMMAND} -E compare_files
-                ${first_dash} ${WORK_DIR}/dash_${tag}.json
-            RESULT_VARIABLE diff)
-        if(NOT diff EQUAL 0)
-          message(FATAL_ERROR
-              "${kind} dashboard (${path}, --jobs ${jobs}) differs across runs")
-        endif()
+        br_same_bytes(${first_dash} ${w}/dash_${tag}.json
+            "${kind} dashboard (${path}, --jobs ${jobs}) vs the first run's")
       endif()
     endforeach()
   endforeach()
 endforeach()
 
 # BYTEROBUST_TRACE (the env knob) must behave exactly like --trace.
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env BYTEROBUST_TRACE=${WORK_DIR}/trace_env.json
-        ${CLI} ${campaign_cmd} --jobs 8 --out ${WORK_DIR}/out_env.json
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "BYTEROBUST_TRACE campaign exited ${rc}")
-endif()
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-        ${WORK_DIR}/ref_campaign_default.json ${WORK_DIR}/out_env.json
-    RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "campaign output changed under BYTEROBUST_TRACE")
-endif()
-validate_trace(${WORK_DIR}/trace_env.json)
+br_run(${campaign_cmd} --jobs 8 --out ${w}/out_env.json ENV BYTEROBUST_TRACE=${w}/trace_env.json)
+br_same_bytes(${w}/ref_campaign_default.json ${w}/out_env.json "campaign under BYTEROBUST_TRACE")
+validate_trace(${w}/trace_env.json)
 
-# Serve: a traced daemon's response body must match the clean CLI --stream
-# reference, and the daemon's drain must close its trace properly.
-set(sock ${WORK_DIR}/serve.sock)
-execute_process(
-    COMMAND bash -c "(\"${CLI}\" serve --socket \"${sock}\" --workers 2 --jobs 8 --trace \"${WORK_DIR}/trace_serve.json\" </dev/null >\"${WORK_DIR}/serve.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch traced serve daemon")
-endif()
-execute_process(
-    COMMAND ${CLI} request --socket ${sock}
-        --body "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":3,\"days\":0.1,\"jobs\":8}"
-        --wait-s 15 --timeout-s 300 --out ${WORK_DIR}/serve_body.json
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "traced serve request failed: ${rc}")
-endif()
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-        ${WORK_DIR}/ref_campaign_stream.json ${WORK_DIR}/serve_body.json
-    RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "serve body changed with tracing on")
-endif()
-execute_process(
-    COMMAND ${CLI} request --socket ${sock} --body "{\"op\":\"shutdown\"}" --raw
-        --wait-s 5 --timeout-s 30
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serve shutdown failed: ${rc}")
-endif()
-execute_process(
-    COMMAND bash -c "for i in $(seq 100); do [ -f \"${WORK_DIR}/serve.exit\" ] && exit 0; sleep 0.1; done; exit 1"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "traced serve daemon did not exit after shutdown")
-endif()
-file(READ ${WORK_DIR}/serve.exit daemon_exit)
-if(NOT daemon_exit STREQUAL "30")
-  message(FATAL_ERROR "traced serve daemon exited '${daemon_exit}', expected 30")
-endif()
-validate_trace(${WORK_DIR}/trace_serve.json)
+# Serve: a traced daemon's response body matches the clean CLI --stream
+# reference, and the daemon's drain closes its trace properly.
+br_serve_start(serve --workers 2 --jobs 8 --trace ${w}/trace_serve.json)
+br_run(request --socket ${w}/serve.sock
+    --body "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":3,\"days\":0.1,\"jobs\":8}"
+    --wait-s 15 --timeout-s 300 --out ${w}/serve_body.json)
+br_same_bytes(${w}/ref_campaign_stream.json ${w}/serve_body.json "serve body with tracing on")
+br_serve_stop(serve)
+validate_trace(${w}/trace_serve.json)

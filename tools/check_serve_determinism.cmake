@@ -7,96 +7,28 @@
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_serve_determinism.cmake
 
-foreach(var CLI WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "${var} is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/check_lib.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
+set(w ${WORK_DIR})
 # CLI references (engine direct, --stream layout == serve body layout).
-execute_process(
-    COMMAND ${CLI} campaign --scenario gpu-fault --seeds 6 --stream
-        --out ${WORK_DIR}/ref_campaign.json
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "reference campaign failed: ${rc}")
-endif()
-execute_process(
-    COMMAND ${CLI} fleet --scenario fleet-mixed --seeds 4 --stream
-        --out ${WORK_DIR}/ref_fleet.json
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "reference fleet failed: ${rc}")
-endif()
+br_run(campaign --scenario gpu-fault --seeds 6 --stream --out ${w}/ref_campaign.json)
+br_run(fleet --scenario fleet-mixed --seeds 4 --stream --out ${w}/ref_fleet.json)
 
 set(campaign_req "{\"op\":\"campaign\",\"scenario\":\"gpu-fault\",\"seeds\":6,\"jobs\":8}")
 set(fleet_req "{\"op\":\"fleet\",\"scenario\":\"fleet-mixed\",\"seeds\":4,\"jobs\":8}")
 
 foreach(jobs 1 8)
-  set(sock ${WORK_DIR}/serve_${jobs}.sock)
-  execute_process(
-      COMMAND bash -c "(\"${CLI}\" serve --socket \"${sock}\" --workers 4 --jobs ${jobs} </dev/null >\"${WORK_DIR}/serve_${jobs}.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_${jobs}.exit\") </dev/null >/dev/null 2>&1 &"
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "could not launch serve daemon (--jobs ${jobs})")
-  endif()
-
-  # Four concurrent clients: 3x the campaign request + 1 fleet request. The
-  # first client's --wait-s also covers daemon startup.
-  execute_process(
-      COMMAND bash -c "\
-pids=; \
-for i in 1 2 3; do \
-  \"${CLI}\" request --socket \"${sock}\" --body '${campaign_req}' --wait-s 15 --timeout-s 300 --out \"${WORK_DIR}/campaign_${jobs}_$i.json\" >/dev/null & \
-  pids=\"$pids $!\"; \
-done; \
-\"${CLI}\" request --socket \"${sock}\" --body '${fleet_req}' --wait-s 15 --timeout-s 300 --out \"${WORK_DIR}/fleet_${jobs}.json\" >/dev/null & \
-pids=\"$pids $!\"; \
-rc=0; for p in $pids; do wait $p || rc=1; done; exit $rc"
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "a concurrent serve client failed (--jobs ${jobs})")
-  endif()
-
+  br_serve_start(serve_${jobs} --workers 4 --jobs ${jobs})
+  # Four concurrent clients: 3x the campaign request + 1 fleet request.
+  br_clients(serve_${jobs}
+      "${campaign_req}" ${w}/campaign_${jobs}_1.json
+      "${campaign_req}" ${w}/campaign_${jobs}_2.json
+      "${campaign_req}" ${w}/campaign_${jobs}_3.json
+      "${fleet_req}" ${w}/fleet_${jobs}.json)
   foreach(i 1 2 3)
-    execute_process(
-        COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/ref_campaign.json ${WORK_DIR}/campaign_${jobs}_${i}.json
-        RESULT_VARIABLE diff)
-    if(NOT diff EQUAL 0)
-      message(FATAL_ERROR
-          "serve campaign body (--jobs ${jobs}, client ${i}) is not byte-identical to the CLI")
-    endif()
+    br_same_bytes(${w}/ref_campaign.json ${w}/campaign_${jobs}_${i}.json
+        "serve campaign body (--jobs ${jobs}, client ${i}) vs the CLI")
   endforeach()
-  execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/ref_fleet.json ${WORK_DIR}/fleet_${jobs}.json
-      RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR
-        "serve fleet body (--jobs ${jobs}) is not byte-identical to the CLI")
-  endif()
-
-  execute_process(
-      COMMAND ${CLI} request --socket ${sock} --body "{\"op\":\"shutdown\"}" --raw
-          --wait-s 5 --timeout-s 30
-      OUTPUT_QUIET RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "shutdown request failed (--jobs ${jobs}): ${rc}")
-  endif()
-  # The daemon drains and records its exit code; give it a bounded window.
-  execute_process(
-      COMMAND bash -c "for i in $(seq 100); do [ -f \"${WORK_DIR}/serve_${jobs}.exit\" ] && exit 0; sleep 0.1; done; exit 1"
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "serve daemon (--jobs ${jobs}) did not exit after shutdown")
-  endif()
-  file(READ ${WORK_DIR}/serve_${jobs}.exit daemon_exit)
-  if(NOT daemon_exit STREQUAL "30")
-    message(FATAL_ERROR
-        "serve daemon (--jobs ${jobs}) exited '${daemon_exit}', expected 30 (graceful drain)")
-  endif()
+  br_same_bytes(${w}/ref_fleet.json ${w}/fleet_${jobs}.json "serve fleet body (--jobs ${jobs}) vs the CLI")
+  br_serve_stop(serve_${jobs})
 endforeach()

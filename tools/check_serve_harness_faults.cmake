@@ -7,75 +7,19 @@
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_serve_harness_faults.cmake
 
-foreach(var CLI WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "${var} is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/check_lib.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+set(w ${WORK_DIR})
+br_run(campaign --scenario dense --seeds 6 --days 0.3 --stream --out ${w}/ref.json)
 
-# Same fault spec + scenario as ctest cli_campaign_harness_faults: verified
+# Same fault spec + scenario as the cli_campaign_harness_faults* gates:
 # quarantine-free for these seeds, with at least one watchdog cancel/retry.
-set(faults "crash:0.2,throw:0.15,hang:0.5")
-
-execute_process(
-    COMMAND ${CLI} campaign --scenario dense --seeds 6 --days 0.3 --stream
-        --out ${WORK_DIR}/ref.json
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "clean reference campaign failed: ${rc}")
-endif()
-
-set(sock ${WORK_DIR}/serve.sock)
-execute_process(
-    COMMAND bash -c "(BYTEROBUST_HARNESS_FAULTS='${faults}' BYTEROBUST_SEED_RETRIES=8 BYTEROBUST_SEED_TIMEOUT_S=0.5 \"${CLI}\" serve --socket \"${sock}\" --workers 2 --jobs 8 </dev/null >\"${WORK_DIR}/serve.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch faulted serve daemon")
-endif()
-
+br_serve_start(serve --workers 2 --jobs 8
+    ENV BYTEROBUST_HARNESS_FAULTS=crash:0.2,throw:0.15,hang:0.5
+        BYTEROBUST_SEED_RETRIES=8 BYTEROBUST_SEED_TIMEOUT_S=0.5)
 set(req "{\"op\":\"campaign\",\"scenario\":\"dense\",\"seeds\":6,\"days\":0.3,\"jobs\":8}")
-execute_process(
-    COMMAND bash -c "\
-pids=; \
-for i in 1 2; do \
-  \"${CLI}\" request --socket \"${sock}\" --body '${req}' --wait-s 15 --timeout-s 300 --out \"${WORK_DIR}/faulted_$i.json\" >/dev/null & \
-  pids=\"$pids $!\"; \
-done; \
-rc=0; for p in $pids; do wait $p || rc=1; done; exit $rc"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "a request against the faulted daemon failed")
-endif()
-
+br_clients(serve "${req}" ${w}/faulted_1.json "${req}" ${w}/faulted_2.json)
 foreach(i 1 2)
-  execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/ref.json ${WORK_DIR}/faulted_${i}.json
-      RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR
-        "faulted serve body (client ${i}) is not byte-identical to the clean CLI run")
-  endif()
+  br_same_bytes(${w}/ref.json ${w}/faulted_${i}.json "faulted serve body (client ${i}) vs the clean CLI run")
 endforeach()
-
-execute_process(
-    COMMAND ${CLI} request --socket ${sock} --body "{\"op\":\"shutdown\"}" --raw
-        --wait-s 5 --timeout-s 30
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "shutdown request failed: ${rc}")
-endif()
-execute_process(
-    COMMAND bash -c "for i in $(seq 100); do [ -f \"${WORK_DIR}/serve.exit\" ] && exit 0; sleep 0.1; done; exit 1"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "faulted serve daemon did not exit after shutdown")
-endif()
-file(READ ${WORK_DIR}/serve.exit daemon_exit)
-if(NOT daemon_exit STREQUAL "30")
-  message(FATAL_ERROR
-      "faulted serve daemon exited '${daemon_exit}', expected 30 (graceful drain)")
-endif()
+br_serve_stop(serve)

@@ -8,171 +8,84 @@
 #  2. Deadlines: a request whose deadline_s expires mid-campaign returns
 #     exit 30 with a valid partial document.
 #  3. Graceful drain + resume: SIGTERM mid-request drains the daemon (exit 30),
-#     the journaled request's partial response is valid, and a restarted
-#     daemon resuming that journal produces output byte-identical to a
-#     straight CLI run.
+#     and a restarted daemon resuming the journaled request produces output
+#     byte-identical to a straight CLI run.
+# Every daemon must exit 30 (graceful drain).
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_serve_robustness.cmake
 
-foreach(var CLI WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "${var} is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/check_lib.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+set(w ${WORK_DIR})
 
-# ---------------------------------------------------------------------------
 # 1. Admission control under a pinned worker.
-# ---------------------------------------------------------------------------
-set(sock_a ${WORK_DIR}/serve_a.sock)
 # hang:1.0 pins every seed until the 5s watchdog; retries=0 quarantines it.
 # The occupier therefore holds the only in-system slot for ~5s — a stable
 # window to probe admission — and then completes as a quarantined response.
-execute_process(
-    COMMAND bash -c "(BYTEROBUST_HARNESS_FAULTS='hang:1.0' BYTEROBUST_SEED_TIMEOUT_S=5 BYTEROBUST_SEED_RETRIES=0 \"${CLI}\" serve --socket \"${sock_a}\" --workers 1 --jobs 1 --max-queue 0 --max-seeds 8 </dev/null >\"${WORK_DIR}/serve_a.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_a.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch admission daemon")
-endif()
+br_serve_start(serve_a --workers 1 --jobs 1 --max-queue 0 --max-seeds 8
+    ENV BYTEROBUST_HARNESS_FAULTS=hang:1.0 BYTEROBUST_SEED_TIMEOUT_S=5 BYTEROBUST_SEED_RETRIES=0)
+set(sock_a ${w}/serve_a.sock)
 
-execute_process(
-    COMMAND ${CLI} request --socket ${sock_a}
-        --body "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":64}"
-        --raw --wait-s 15 --timeout-s 30
-    OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "seed-cap violation exited ${rc}, expected 2 (rejected)")
-endif()
+br_run(request --socket ${sock_a}
+    --body "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":64}"
+    --raw --wait-s 15 --timeout-s 30 EXPECT 2)
 
-execute_process(
-    COMMAND bash -c "\
-\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1}' --raw --timeout-s 60 >\"${WORK_DIR}/occupier.json\" 2>/dev/null & \
+br_bash("admission check failed (want shed_rc=75 occ_rc=20)" "\
+\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1}' --raw --timeout-s 60 >\"${w}/occupier.json\" 2>/dev/null & \
 opid=$!; \
 for i in $(seq 100); do \
   st=$(\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"status\"}' --raw --timeout-s 30 2>/dev/null); \
   case \"$st\" in *'\"active_requests\":1'*) break;; esac; \
   sleep 0.05; \
 done; \
-\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1}' --raw >\"${WORK_DIR}/shed.json\" 2>/dev/null; \
+\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1}' --raw >\"${w}/shed.json\" 2>/dev/null; \
 shed_rc=$?; \
 wait $opid; occ_rc=$?; \
-echo \"shed_rc=$shed_rc occ_rc=$occ_rc\" > \"${WORK_DIR}/admission.txt\"; \
-[ $shed_rc -eq 75 ] && [ $occ_rc -eq 20 ]"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  file(READ ${WORK_DIR}/admission.txt admission)
-  message(FATAL_ERROR
-      "admission check failed (want shed_rc=75 occ_rc=20): ${admission}")
-endif()
-file(READ ${WORK_DIR}/shed.json shed_response)
+echo \"admission: shed_rc=$shed_rc occ_rc=$occ_rc\" >&2; \
+[ $shed_rc -eq 75 ] && [ $occ_rc -eq 20 ]")
+file(READ ${w}/shed.json shed_response)
 if(NOT shed_response MATCHES "request queue is full")
   message(FATAL_ERROR "shed response lacks the structured reason: ${shed_response}")
 endif()
-file(READ ${WORK_DIR}/occupier.json occupier_response)
+file(READ ${w}/occupier.json occupier_response)
 if(NOT occupier_response MATCHES "failed_runs")
-  message(FATAL_ERROR
-      "occupier (quarantined) response lacks failed_runs: ${occupier_response}")
+  message(FATAL_ERROR "occupier (quarantined) response lacks failed_runs: ${occupier_response}")
 endif()
+br_serve_stop(serve_a)
 
-execute_process(
-    COMMAND ${CLI} request --socket ${sock_a} --body "{\"op\":\"shutdown\"}" --raw
-        --wait-s 5 --timeout-s 30
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "admission daemon shutdown failed: ${rc}")
-endif()
-
-# ---------------------------------------------------------------------------
 # 2 + 3. Deadlines, SIGTERM drain, journal resume.
-# ---------------------------------------------------------------------------
-set(sock_b ${WORK_DIR}/serve_b.sock)
-set(journal ${WORK_DIR}/request.journal)
-execute_process(
-    COMMAND bash -c "(\"${CLI}\" serve --socket \"${sock_b}\" --workers 1 --jobs 1 --pid-file \"${WORK_DIR}/serve_b.pid\" </dev/null >\"${WORK_DIR}/serve_b.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_b.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch drain daemon")
-endif()
+br_serve_start(serve_b --workers 1 --jobs 1)
+set(journal ${w}/request.journal)
 
-execute_process(
-    COMMAND ${CLI} request --socket ${sock_b}
-        --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":512,\"deadline_s\":0.3}"
-        --wait-s 15 --timeout-s 120 --out ${WORK_DIR}/deadline.json
-    OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 30)
-  message(FATAL_ERROR "deadline request exited ${rc}, expected 30 (interrupted)")
-endif()
-file(READ ${WORK_DIR}/deadline.json deadline_body)
-if(NOT deadline_body MATCHES "\"runs\"" OR NOT deadline_body MATCHES "\"aggregate\"")
-  message(FATAL_ERROR "deadline partial document is not a valid campaign doc")
+br_run(request --socket ${w}/serve_b.sock
+    --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":512,\"deadline_s\":0.3}"
+    --wait-s 15 --timeout-s 120 --out ${w}/deadline.json EXPECT 30)
+file(READ ${w}/deadline.json deadline_body)
+string(JSON runs_type ERROR_VARIABLE err TYPE "${deadline_body}" runs)
+string(JSON aggregate_type ERROR_VARIABLE err TYPE "${deadline_body}" aggregate)
+if(NOT "${runs_type} ${aggregate_type}" STREQUAL "ARRAY OBJECT")
+  message(FATAL_ERROR "deadline partial document is not a valid campaign doc: ${err}")
 endif()
 
 # Journaled request, SIGTERM mid-flight. Whether the kill lands before, during
 # or after the request, the daemon must exit 30 and the later resume must
 # merge to byte-identical output.
-execute_process(
-    COMMAND bash -c "\
-\"${CLI}\" request --socket \"${sock_b}\" --body '{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"journal\":\"${journal}\"}' --raw --timeout-s 120 >\"${WORK_DIR}/journaled.json\" 2>/dev/null & \
+br_bash("journaled client failed across the drain" "\
+\"${CLI}\" request --socket \"${w}/serve_b.sock\" --body '{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"journal\":\"${journal}\"}' --raw --timeout-s 120 >\"${w}/journaled.json\" 2>/dev/null & \
 cpid=$!; \
 sleep 0.4; \
-kill -TERM $(cat \"${WORK_DIR}/serve_b.pid\"); \
+kill -TERM $(cat \"${w}/serve_b.pid\"); \
 wait $cpid; client_rc=$?; \
-echo \"client_rc=$client_rc\" > \"${WORK_DIR}/drain.txt\"; \
-[ $client_rc -eq 30 ] || [ $client_rc -eq 0 ]"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  file(READ ${WORK_DIR}/drain.txt drain)
-  message(FATAL_ERROR "journaled client failed across the drain: ${drain}")
-endif()
-execute_process(
-    COMMAND bash -c "for i in $(seq 100); do [ -f \"${WORK_DIR}/serve_b.exit\" ] && exit 0; sleep 0.1; done; exit 1"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "drain daemon did not exit after SIGTERM")
-endif()
-file(READ ${WORK_DIR}/serve_b.exit daemon_exit)
-if(NOT daemon_exit STREQUAL "30")
-  message(FATAL_ERROR "SIGTERM'd daemon exited '${daemon_exit}', expected 30")
-endif()
+echo \"drain: client_rc=$client_rc\" >&2; \
+[ $client_rc -eq 30 ] || [ $client_rc -eq 0 ]")
+br_serve_stop(serve_b SIGNALLED)
 
-# Restarted daemon resumes the journal; the merged body must be byte-identical
-# to a straight CLI run of the same campaign.
-execute_process(
-    COMMAND ${CLI} campaign --scenario dense-month --seeds 24 --jobs 1 --stream
-        --out ${WORK_DIR}/ref_resume.json
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume reference campaign failed: ${rc}")
-endif()
-set(sock_c ${WORK_DIR}/serve_c.sock)
-execute_process(
-    COMMAND bash -c "(\"${CLI}\" serve --socket \"${sock_c}\" --workers 1 --jobs 1 </dev/null >\"${WORK_DIR}/serve_c.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_c.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch resume daemon")
-endif()
-execute_process(
-    COMMAND ${CLI} request --socket ${sock_c}
-        --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"resume\":\"${journal}\"}"
-        --wait-s 15 --timeout-s 300 --out ${WORK_DIR}/resumed.json
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume request exited ${rc}, expected 0")
-endif()
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-        ${WORK_DIR}/ref_resume.json ${WORK_DIR}/resumed.json
-    RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR
-      "resumed serve body is not byte-identical to the straight CLI run")
-endif()
-execute_process(
-    COMMAND ${CLI} request --socket ${sock_c} --body "{\"op\":\"shutdown\"}" --raw
-        --wait-s 5 --timeout-s 30
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume daemon shutdown failed: ${rc}")
-endif()
+# A restarted daemon resumes the journal; the merged body must be
+# byte-identical to a straight CLI run of the same campaign.
+br_run(campaign --scenario dense-month --seeds 24 --jobs 1 --stream --out ${w}/ref_resume.json)
+br_serve_start(serve_c --workers 1 --jobs 1)
+br_run(request --socket ${w}/serve_c.sock
+    --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"resume\":\"${journal}\"}"
+    --wait-s 15 --timeout-s 300 --out ${w}/resumed.json)
+br_same_bytes(${w}/ref_resume.json ${w}/resumed.json "resumed serve body vs the straight CLI run")
+br_serve_stop(serve_c)
