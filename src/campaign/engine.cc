@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <memory>
@@ -45,14 +44,6 @@ Aggregate FoldAggregateAt(const std::vector<std::vector<double>>& summaries, std
 }
 
 namespace {
-
-// BYTEROBUST_STREAM_CAMPAIGN=0 pins the memory store (every rendered element
-// held until the pool joins), the reference the spill store is byte-compared
-// against.
-bool StreamCampaignEnabled() {
-  const char* env = std::getenv("BYTEROBUST_STREAM_CAMPAIGN");
-  return env == nullptr || std::string(env) != "0";
-}
 
 // Rendered as a primed depth-1 block so it splices after the closed "runs"
 // array; emitted only when non-empty, so clean campaigns keep their exact
@@ -205,15 +196,15 @@ class CampaignHarness {
  public:
   explicit CampaignHarness(const CampaignEngineSpec& spec) : spec_(spec) {
     SupervisorConfig config;
-    std::string error;
-    if (!SupervisorConfig::FromEnv(spec.identity.base_seed, &config, &error)) {
-      throw EngineSetupError(error);
-    }
+    config.seed = spec.identity.base_seed;
     if (spec.retries_override >= 0) {
       config.max_attempts = 1 + spec.retries_override;
     }
+    config.timeout_override_s = spec.knobs.seed_timeout_s;
+    config.faults = spec.knobs.harness_faults;
     config.external_stop = spec.external_stop;
     supervisor_.emplace(config);
+    std::string error;
     if (!spec.resume_path.empty()) {
       if (!journal_.OpenForResume(spec.resume_path, spec.identity, &resumed_, &error,
                                   spec.journal_sync)) {
@@ -326,7 +317,8 @@ class CampaignHarness {
 //   - SpillStore (default): elements are appended to one shared tmpfile as
 //     seeds finish and read back in seed order; one rendered element per
 //     worker is resident.
-//   - MemoryStore (BYTEROBUST_STREAM_CAMPAIGN=0): every element held by index.
+//   - MemoryStore (knobs.spill_store = false): every element held by index,
+//     the reference the spill store is byte-compared against.
 // ---------------------------------------------------------------------------
 class RunStore {
  public:
@@ -555,7 +547,7 @@ int RunEngine(const CampaignEngineSpec& spec) {
   if (spec.stream) {
     store = std::make_unique<OrderedStore>(seeds, &sink);
     sink.Write(DocumentHead(spec, nullptr));
-  } else if (StreamCampaignEnabled()) {
+  } else if (spec.knobs.spill_store) {
     auto spill = std::make_unique<SpillStore>(seeds);
     if (!spill->ok()) {
       std::fprintf(stderr, "error: could not create campaign spill file\n");

@@ -6,14 +6,15 @@
 // the only choice is where finished runs wait before they are written: an
 // ordered store that writes the ready prefix as it completes (--stream and
 // every serve request), a spill tmpfile read back in seed order (the
-// default), or memory (BYTEROBUST_STREAM_CAMPAIGN=0, the byte-identity
-// reference). Output is byte-identical for the same request across --jobs
-// values, across the spill and memory stores, and across an interrupt +
-// journal resume.
+// default), or memory (knobs.spill_store = false, the CLI's
+// BYTEROBUST_STREAM_CAMPAIGN=0: the byte-identity reference). Output is
+// byte-identical for the same request across --jobs values, across the spill
+// and memory stores, and across an interrupt + journal resume.
 //
 // Campaigns run under the src/harness fault-tolerance layer: every seed is
-// supervised (watchdog + deterministic retry/backoff), persistently failing
-// seeds are quarantined into a "failed_runs" block instead of aborting the
+// supervised (watchdog + deterministic retry/backoff; the spec's knobs pin
+// the watchdog and inject faults), persistently failing seeds are
+// quarantined into a "failed_runs" block instead of aborting the
 // campaign, journal/resume give crash-safe restartability, and a cooperative
 // stop (signal, serve deadline or client disconnect) drains in-flight seeds
 // before exiting with kExitInterrupted.
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "src/campaign/json_writer.h"
+#include "src/campaign/knobs.h"
 #include "src/harness/journal.h"
 
 namespace byterobust {
@@ -52,8 +54,12 @@ struct CampaignEngineSpec {
   CampaignIdentity identity;   // what --journal records / --resume verifies
   std::string journal_path;    // --journal: record committed seeds here
   std::string resume_path;     // --resume: skip seeds already journaled here
-  int retries_override = -1;   // --retries; < 0 defers to env/default
+  int retries_override = -1;   // --retries; < 0 keeps the supervisor default
   bool journal_sync = false;   // --journal-sync: fdatasync per committed record
+  // Run store and harness settings: spill_store, seed_timeout_s and
+  // harness_faults are read here; the model knobs were already applied to
+  // run_seed's configs by BuildCampaignEngineSpec.
+  RuntimeKnobs knobs;
   // Cooperative stop flag (the CLI's signal flag, or a serve request's cancel
   // flag): when it flips, workers stop claiming seeds, in-flight seeds drain,
   // and the engine exits kExitInterrupted. May be null (never stops).
@@ -72,7 +78,7 @@ struct CampaignEngineSpec {
   std::function<void(JsonWriter*, const std::vector<std::vector<double>>&)> aggregates;
 };
 
-// A setup-stage problem (bad env knob, unreadable or mismatched journal):
+// A setup-stage problem (unreadable or mismatched journal):
 // reported before any worker spawns, exit code kExitUsage.
 class EngineSetupError : public std::runtime_error {
  public:

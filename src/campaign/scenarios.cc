@@ -1,7 +1,6 @@
 #include "src/campaign/scenarios.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,28 +84,29 @@ const FleetSpec* FindFleetSpec(const std::string& name) {
 
 namespace {
 
-// Escape hatch for the batched-stepping equivalence ctest: BYTEROBUST_STEP_BATCHING=0
-// pins the per-step reference path. Output must be byte-identical either way.
-bool StepBatchingEnabled() {
-  const char* env = std::getenv("BYTEROBUST_STEP_BATCHING");
-  return env == nullptr || std::string(env) != "0";
+// Trailing retention window for per-run ETTR-span / MFU-sample compaction.
+// Two hours sits comfortably above the 1 h sliding-ETTR window, so campaign
+// metrics are bit-identical windowed or not (BatchedStepTest checks this
+// against unbounded retention) while month-scale runs hold O(window) metric
+// state instead of O(steps).
+constexpr SimDuration kCampaignMetricsRetention = Hours(2);
+
+// The one place runtime knobs reach a model config. The switches can only
+// pin a reference path: a preset that turned a fast path off keeps it off.
+SystemConfig WithKnobs(SystemConfig system, const RuntimeKnobs& knobs) {
+  system.job.batched_stepping = knobs.step_batching;
+  system.monitor.quiescent = system.monitor.quiescent && knobs.quiescent_monitor;
+  system.fault_domains.enabled = system.fault_domains.enabled && knobs.fault_domains;
+  system.metrics_retention = kCampaignMetricsRetention;
+  return system;
 }
 
-// Trailing retention window for per-run ETTR-span / MFU-sample compaction.
-// BYTEROBUST_METRIC_WINDOW gives seconds (0 = unbounded); the default keeps
-// two hours, comfortably above the 1 h sliding-ETTR window, so campaign
-// metrics are bit-identical windowed or not while month-scale runs hold
-// O(window) metric state instead of O(steps).
-SimDuration MetricsRetentionFromEnv() {
-  static const SimDuration retention = [] {
-    const char* env = std::getenv("BYTEROBUST_METRIC_WINDOW");
-    if (env == nullptr) {
-      return Hours(2);
-    }
-    const double seconds = std::strtod(env, nullptr);
-    return seconds <= 0.0 ? SimDuration{0} : Seconds(seconds);
-  }();
-  return retention;
+FleetConfig WithKnobs(FleetConfig fleet, const RuntimeKnobs& knobs) {
+  fleet.fault_domains.enabled = fleet.fault_domains.enabled && knobs.fault_domains;
+  for (FleetJobSpec& job : fleet.jobs) {
+    job.scenario.system = WithKnobs(job.scenario.system, knobs);
+  }
+  return fleet;
 }
 
 SystemConfig QuickstartSystem(std::uint64_t seed) {
@@ -120,8 +120,6 @@ SystemConfig QuickstartSystem(std::uint64_t seed) {
   config.job.base_step_time = Seconds(10);
   config.seed = seed;
   config.spare_machines = 4;
-  config.job.batched_stepping = StepBatchingEnabled();
-  config.metrics_retention = MetricsRetentionFromEnv();
   return config;
 }
 
@@ -205,7 +203,10 @@ void ComputeWas(int machines, RunResult* r) {
   r->was_requeue_s = est.requeue_s;
 }
 
-void CollectSystemMetrics(ByteRobustSystem& sys, RunResult* r) {
+// Fills the system-derived fields of *r and, under --dashboard, records the
+// job's sliding ETTR/MFU series as "<scenario> seed <seed>[/<job>]".
+void CollectSystemMetrics(ByteRobustSystem& sys, std::uint64_t seed, int ordinal,
+                          const char* job, RunResult* r) {
   r->machines = sys.config().job.parallelism.num_machines();
   r->world_size = sys.config().job.parallelism.world_size();
   r->steps = sys.job().max_step_reached();
@@ -235,17 +236,26 @@ void CollectSystemMetrics(ByteRobustSystem& sys, RunResult* r) {
   r->failover = Summarize(failover);
   r->resolution = Summarize(total);
   ComputeWas(r->machines, r);
+  if (obs::DashboardEnabled()) {
+    std::string label = r->scenario + " seed " + std::to_string(seed);
+    if (job != nullptr) {
+      label += "/";
+      label += job;
+    }
+    obs::RecordDashboardJob(obs::SampleDashboardJob(label, seed, ordinal, sys.ettr(),
+                                                    sys.mfu_series(), sys.sim().Now()));
+  }
 }
 
-RunResult RunMixed(const ScenarioSpec& spec, double days, std::uint64_t seed) {
+RunResult RunMixed(const ScenarioSpec& spec, double days, std::uint64_t seed,
+                   const RuntimeKnobs& knobs) {
   RunResult r;
   r.scenario = spec.name;
   r.seed = seed;
   r.days = days;
   ScenarioConfig cfg =
       spec.domain ? DomainConfig(spec, days, seed) : MixedConfig(spec.name, days, seed);
-  cfg.system.job.batched_stepping = StepBatchingEnabled();
-  cfg.system.metrics_retention = MetricsRetentionFromEnv();
+  cfg.system = WithKnobs(cfg.system, knobs);
   Scenario scenario(cfg);
   scenario.Run();
   r.incidents_injected = scenario.stats().incidents_injected;
@@ -253,13 +263,7 @@ RunResult RunMixed(const ScenarioSpec& spec, double days, std::uint64_t seed) {
   r.updates_submitted = scenario.stats().updates_submitted;
   r.domain_faults_injected = scenario.stats().domain_faults_injected;
   r.domain_blast = scenario.domain_blast();
-  CollectSystemMetrics(scenario.system(), &r);
-  if (obs::DashboardEnabled()) {
-    ByteRobustSystem& sys = scenario.system();
-    obs::RecordDashboardJob(obs::SampleDashboardJob(
-        std::string(spec.name) + " seed " + std::to_string(seed), seed,
-        /*ordinal=*/0, sys.ettr(), sys.mfu_series(), sys.sim().Now()));
-  }
+  CollectSystemMetrics(scenario.system(), seed, /*ordinal=*/0, /*job=*/nullptr, &r);
   return r;
 }
 
@@ -268,9 +272,10 @@ RunResult RunMixed(const ScenarioSpec& spec, double days, std::uint64_t seed) {
 // must evict the machine to clear it).
 class TargetedCampaign {
  public:
-  TargetedCampaign(const ScenarioSpec& spec, double days, std::uint64_t seed)
+  TargetedCampaign(const ScenarioSpec& spec, double days, std::uint64_t seed,
+                   const RuntimeKnobs& knobs)
       : spec_(spec),
-        sys_(QuickstartSystem(seed)),
+        sys_(WithKnobs(QuickstartSystem(seed), knobs)),
         rng_(seed ^ 0xF00DULL),
         duration_(Days(days)),
         mean_gap_(Minutes(40)) {}
@@ -342,20 +347,15 @@ class TargetedCampaign {
   int injected_ = 0;
 };
 
-RunResult RunTargeted(const ScenarioSpec& spec, double days, std::uint64_t seed) {
+RunResult RunTargeted(const ScenarioSpec& spec, double days, std::uint64_t seed,
+                      const RuntimeKnobs& knobs) {
   RunResult r;
   r.scenario = spec.name;
   r.seed = seed;
   r.days = days;
-  TargetedCampaign campaign(spec, days, seed);
+  TargetedCampaign campaign(spec, days, seed, knobs);
   r.incidents_injected = campaign.Run();
-  CollectSystemMetrics(campaign.system(), &r);
-  if (obs::DashboardEnabled()) {
-    ByteRobustSystem& sys = campaign.system();
-    obs::RecordDashboardJob(obs::SampleDashboardJob(
-        std::string(spec.name) + " seed " + std::to_string(seed), seed,
-        /*ordinal=*/0, sys.ettr(), sys.mfu_series(), sys.sim().Now()));
-  }
+  CollectSystemMetrics(campaign.system(), seed, /*ordinal=*/0, /*job=*/nullptr, &r);
   return r;
 }
 
@@ -373,7 +373,7 @@ void WriteLatency(JsonWriter* w, const std::string& key, const LatencyStats& s) 
 
 // Per-domain-level blast-radius block, shared by campaign runs and the fleet
 // seed element. Only emitted when at least one domain fault fired, so flat
-// (or BYTEROBUST_FAULT_DOMAINS=0) campaigns keep their PR 6 byte layout.
+// (or fault-domain-free) campaigns keep their original byte layout.
 void WriteDomainBlast(JsonWriter* w, const std::string& key, const DomainBlastStats& stats) {
   w->Key(key);
   w->BeginObject();
@@ -526,12 +526,9 @@ void WriteFleetAggregates(JsonWriter* w, const std::vector<std::vector<double>>&
 // (effective GPU-time ratio, spare-pool occupancy timeline, blast radius)
 // plus one per-job block reusing the campaign RunResult schema extended with
 // priority / start time / spare-claim counters.
-SeedOutcome RunFleetSeed(const FleetSpec& spec, double days, std::uint64_t seed) {
-  FleetConfig cfg = spec.make(days, seed);
-  for (FleetJobSpec& job : cfg.jobs) {
-    job.scenario.system.job.batched_stepping = StepBatchingEnabled();
-    job.scenario.system.metrics_retention = MetricsRetentionFromEnv();
-  }
+SeedOutcome RunFleetSeed(const FleetSpec& spec, double days, std::uint64_t seed,
+                         const RuntimeKnobs& knobs) {
+  const FleetConfig cfg = WithKnobs(spec.make(days, seed), knobs);
   Fleet fleet(cfg);
   fleet.Run();
 
@@ -594,14 +591,7 @@ SeedOutcome RunFleetSeed(const FleetSpec& spec, double days, std::uint64_t seed)
     r.incidents_injected = fleet.scenario(i).stats().incidents_injected;
     r.refails = fleet.scenario(i).stats().refails;
     r.updates_submitted = fleet.scenario(i).stats().updates_submitted;
-    CollectSystemMetrics(fleet.system(i), &r);
-    if (obs::DashboardEnabled()) {
-      ByteRobustSystem& sys = fleet.system(i);
-      obs::RecordDashboardJob(obs::SampleDashboardJob(
-          std::string(spec.name) + " seed " + std::to_string(seed) + "/" +
-              job_spec.name,
-          seed, /*ordinal=*/i, sys.ettr(), sys.mfu_series(), sys.sim().Now()));
-    }
+    CollectSystemMetrics(fleet.system(i), seed, /*ordinal=*/i, job_spec.name.c_str(), &r);
     if (fleet.system(i).job().run_count() == 0) {
       // A job that never launched inside the campaign window has no
       // availability to report; CumulativeEttr's zero-wall convention would
@@ -646,8 +636,10 @@ SeedOutcome RunFleetSeed(const FleetSpec& spec, double days, std::uint64_t seed)
 
 }  // namespace
 
-RunResult RunOne(const ScenarioSpec& spec, double days, std::uint64_t seed) {
-  return spec.targeted ? RunTargeted(spec, days, seed) : RunMixed(spec, days, seed);
+RunResult RunOne(const ScenarioSpec& spec, double days, std::uint64_t seed,
+                 const RuntimeKnobs& knobs) {
+  return spec.targeted ? RunTargeted(spec, days, seed, knobs)
+                       : RunMixed(spec, days, seed, knobs);
 }
 
 void WriteRun(JsonWriter* w, const RunResult& r) {
@@ -709,19 +701,21 @@ bool BuildCampaignEngineSpec(const CampaignRequest& req, CampaignEngineSpec* spe
   spec->resume_path = req.resume_path;
   spec->retries_override = req.retries;
   spec->journal_sync = req.journal_sync;
+  spec->knobs = req.knobs;
   // Everything below captures by value (registry entries have static storage
   // duration), so the spec is self-contained: serve keeps it alive across the
   // request's worker pool long after the request struct is gone.
   if (is_fleet) {
-    spec->run_seed = [fleet, days, base_seed](int i) {
-      return RunFleetSeed(*fleet, days, base_seed + static_cast<std::uint64_t>(i));
+    spec->run_seed = [fleet, days, base_seed, knobs = req.knobs](int i) {
+      return RunFleetSeed(*fleet, days, base_seed + static_cast<std::uint64_t>(i), knobs);
     };
     spec->aggregates = [](JsonWriter* w, const std::vector<std::vector<double>>& summaries) {
       WriteFleetAggregates(w, summaries);
     };
   } else {
-    spec->run_seed = [scenario, days, base_seed](int i) {
-      const RunResult r = RunOne(*scenario, days, base_seed + static_cast<std::uint64_t>(i));
+    spec->run_seed = [scenario, days, base_seed, knobs = req.knobs](int i) {
+      const RunResult r =
+          RunOne(*scenario, days, base_seed + static_cast<std::uint64_t>(i), knobs);
       return SeedOutcome{RenderRunElement(r), CampaignSummaryOf(r), false};
     };
     spec->aggregates = [](JsonWriter* w, const std::vector<std::vector<double>>& summaries) {

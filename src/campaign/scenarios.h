@@ -15,6 +15,7 @@
 
 #include "src/campaign/engine.h"
 #include "src/campaign/json_writer.h"
+#include "src/campaign/knobs.h"
 #include "src/core/scenario.h"
 #include "src/faults/domain_injector.h"
 #include "src/fleet/fleet.h"
@@ -90,8 +91,12 @@ struct RunResult {
   DomainBlastStats domain_blast;  // empty unless the scenario injects domain faults
 };
 
-// Runs one scenario seed (targeted or mixed) to a RunResult.
-RunResult RunOne(const ScenarioSpec& spec, double days, std::uint64_t seed);
+// Runs one scenario seed (targeted or mixed) to a RunResult. The model knobs
+// (step batching, quiescent monitor, fault domains) and the campaign metric
+// retention are applied to the seed's config here; default knobs are the
+// documented configuration.
+RunResult RunOne(const ScenarioSpec& spec, double days, std::uint64_t seed,
+                 const RuntimeKnobs& knobs = {});
 
 // Renders one RunResult as a JSON object at the writer's current position
 // (the `run` subcommand's "result" block, and each "runs" array element).
@@ -119,14 +124,17 @@ struct CampaignRequest {
   std::string out_path;
   std::string journal_path;
   std::string resume_path;
-  int retries = -1;  // < 0 defers to env/default
+  int retries = -1;  // < 0 keeps the supervisor default
   bool journal_sync = false;
+  RuntimeKnobs knobs;  // read once from the environment by the CLI
 };
 
 // Resolves the request against the registries and fills *spec (run_seed /
 // header_fields / aggregates capture by value — the spec outlives the
-// request). On a bad scenario name or seed count, fills *error (no "error: "
-// prefix) and returns false without touching *spec's callbacks.
+// request). The request's knobs ride along: run_seed applies the model knobs
+// to every seed's config, and spec->knobs carries the store and harness ones.
+// On a bad scenario name or seed count, fills *error (no "error: " prefix)
+// and returns false without touching *spec's callbacks.
 bool BuildCampaignEngineSpec(const CampaignRequest& req, CampaignEngineSpec* spec,
                              std::string* error);
 

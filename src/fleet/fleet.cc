@@ -22,7 +22,7 @@ Fleet::Fleet(const FleetConfig& config)
     demand += spec.scenario.system.job.parallelism.num_machines();
   }
   pool_ = std::make_unique<Cluster>(kFleetPool, demand + config_.shared_spares, gpus);
-  if (config_.fault_domains.enabled && FaultDomainsEnvEnabled()) {
+  if (config_.fault_domains.enabled) {
     pool_->AttachFaultDomains(config_.fault_domains);
   }
   arbiter_ = std::make_unique<SpareArbiter>(config_.arbiter, &sim_, pool_.get());

@@ -12,6 +12,8 @@
 namespace byterobust {
 namespace {
 
+constexpr double kSeedTimeoutFactor = 10.0;  // deadline / trailing seed duration
+
 bool ParseProbability(const std::string& text, double* out) {
   if (text.empty()) {
     return false;
@@ -94,46 +96,6 @@ bool HarnessFaultSpec::Parse(const std::string& text, HarnessFaultSpec* spec,
     }
     if (!ok) {
       *error = "harness fault '" + kind + "' has invalid value '" + value + "'";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool SupervisorConfig::FromEnv(std::uint64_t campaign_seed, SupervisorConfig* config,
-                               std::string* error) {
-  config->seed = campaign_seed;
-  if (const char* retries = std::getenv("BYTEROBUST_SEED_RETRIES")) {
-    int value = 0;
-    if (!ParseNonNegativeInt(retries, &value)) {
-      *error = "BYTEROBUST_SEED_RETRIES must be a non-negative integer, got '" +
-               std::string(retries) + "'";
-      return false;
-    }
-    config->max_attempts = 1 + value;
-  }
-  if (const char* timeout = std::getenv("BYTEROBUST_SEED_TIMEOUT_S")) {
-    char* end = nullptr;
-    const double value = std::strtod(timeout, &end);
-    if (*timeout == '\0' || *end != '\0' || value <= 0.0) {
-      *error = "BYTEROBUST_SEED_TIMEOUT_S must be a positive number, got '" +
-               std::string(timeout) + "'";
-      return false;
-    }
-    config->timeout_override_s = value;
-  }
-  if (const char* factor = std::getenv("BYTEROBUST_SEED_TIMEOUT_FACTOR")) {
-    char* end = nullptr;
-    const double value = std::strtod(factor, &end);
-    if (*factor == '\0' || *end != '\0' || value < 1.0) {
-      *error = "BYTEROBUST_SEED_TIMEOUT_FACTOR must be >= 1, got '" +
-               std::string(factor) + "'";
-      return false;
-    }
-    config->timeout_factor = value;
-  }
-  if (const char* faults = std::getenv("BYTEROBUST_HARNESS_FAULTS")) {
-    if (!HarnessFaultSpec::Parse(faults, &config->faults, error)) {
       return false;
     }
   }
@@ -379,7 +341,7 @@ double SeedSupervisor::AttemptTimeoutS() const {
   if (!have_estimate_) {
     return floor_s;
   }
-  return std::max(floor_s, config_.timeout_factor * ewma_seconds_);
+  return std::max(floor_s, kSeedTimeoutFactor * ewma_seconds_);
 }
 
 void SeedSupervisor::NoteDuration(double seconds) {

@@ -17,15 +17,16 @@
 // output bytes.
 //
 // The watchdog deadline is a trailing EWMA of successful seed durations
-// scaled by `timeout_factor`, floored at `timeout_floor_s`, or pinned by
-// BYTEROBUST_SEED_TIMEOUT_S. Timing only steers scheduling (when to cancel,
-// how long to sleep between retries); it never reaches campaign output.
+// scaled by 10, floored at `timeout_floor_s`, or pinned by
+// `timeout_override_s` (the CLI's BYTEROBUST_SEED_TIMEOUT_S). Timing only
+// steers scheduling (when to cancel, how long to sleep between retries); it
+// never reaches campaign output.
 //
-// Self-fault-injection (BYTEROBUST_HARNESS_FAULTS) strikes these worker
-// threads before the real seed function runs, with decisions drawn from an
-// Rng keyed on (campaign seed, seed index, attempt, fault kind) — identical
-// across --jobs values, so a faulted campaign that completes is
-// byte-identical to a clean one.
+// Self-fault-injection (`faults`, the CLI's BYTEROBUST_HARNESS_FAULTS)
+// strikes these worker threads before the real seed function runs, with
+// decisions drawn from an Rng keyed on (campaign seed, seed index, attempt,
+// fault kind) — identical across --jobs values, so a faulted campaign that
+// completes is byte-identical to a clean one.
 
 #ifndef SRC_HARNESS_SUPERVISOR_H_
 #define SRC_HARNESS_SUPERVISOR_H_
@@ -82,12 +83,12 @@ class InjectedFaultError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Parsed BYTEROBUST_HARNESS_FAULTS spec. Grammar: comma-separated
-// `kind:value` pairs — `crash:P`, `hang:P`, `throw:P` (probabilities in
-// [0,1], independently re-drawn per attempt), `crash_seed:IDX` (that seed
-// index fails every attempt — the persistent-failure/quarantine case), and
-// `stop_after:K` (request campaign stop once K seeds have committed — the
-// deterministic stand-in for SIGINT in tests).
+// Parsed harness fault spec (the CLI's BYTEROBUST_HARNESS_FAULTS). Grammar:
+// comma-separated `kind:value` pairs — `crash:P`, `hang:P`, `throw:P`
+// (probabilities in [0,1], independently re-drawn per attempt),
+// `crash_seed:IDX` (that seed index fails every attempt — the
+// persistent-failure/quarantine case), and `stop_after:K` (request campaign
+// stop once K seeds have committed — the deterministic stand-in for SIGINT).
 struct HarnessFaultSpec {
   double crash_p = 0.0;
   double hang_p = 0.0;
@@ -111,19 +112,12 @@ struct SupervisorConfig {
   // Minimum deadline, and the deadline before any duration estimate exists.
   // Deliberately generous: a spurious cancellation of a slow-but-healthy
   // seed would change campaign output, while a true hang only costs these
-  // minutes once. Tests pin BYTEROBUST_SEED_TIMEOUT_S instead.
+  // minutes once. Tests pin timeout_override_s instead.
   double timeout_floor_s = 300.0;
-  double timeout_factor = 10.0;    // deadline = factor * trailing seed duration
   double cancel_grace_s = 0.5;     // wait after cancel before abandoning
   std::uint64_t seed = 0;          // campaign base seed; keys backoff jitter + faults
   HarnessFaultSpec faults;
   std::atomic<bool>* external_stop = nullptr;  // shared with the signal handler
-
-  // Applies BYTEROBUST_SEED_RETRIES / BYTEROBUST_SEED_TIMEOUT_S /
-  // BYTEROBUST_SEED_TIMEOUT_FACTOR / BYTEROBUST_HARNESS_FAULTS on top of the
-  // defaults. False + *error on a malformed value.
-  static bool FromEnv(std::uint64_t campaign_seed, SupervisorConfig* config,
-                      std::string* error);
 };
 
 // Why a seed was quarantined.

@@ -1,28 +1,12 @@
 #include "src/monitor/monitor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
 #include "src/common/log.h"
 
 namespace byterobust {
-
-namespace {
-
-// Escape hatch for the quiescent-vs-periodic equivalence ctest:
-// BYTEROBUST_QUIESCENT_MONITOR=0 pins the periodic reference path process-wide
-// so campaign JSON can be byte-compared across the two schedules.
-bool QuiescentMonitorEnvEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("BYTEROBUST_QUIESCENT_MONITOR");
-    return env == nullptr || std::string(env) != "0";
-  }();
-  return enabled;
-}
-
-}  // namespace
 
 const char* AnomalySourceName(AnomalySource source) {
   switch (source) {
@@ -47,7 +31,7 @@ Monitor::Monitor(const MonitorConfig& config, Simulator* sim, Cluster* cluster, 
       sim_(sim),
       cluster_(cluster),
       job_(job),
-      quiescent_(config.quiescent && QuiescentMonitorEnvEnabled()),
+      quiescent_(config.quiescent),
       rules_(config.metrics, &job->loss_model()) {
   job_->AddStateObserver([this](JobRunState state) { OnJobStateChange(state); });
 }

@@ -10,8 +10,8 @@
 // last_progress + hang_grace. The cluster's health-epoch waker and a TrainJob
 // state observer re-arm them on demand, so monitoring event traffic is
 // proportional to incidents, not simulated time, and the batched step loop
-// runs unimpeded between incidents. Setting BYTEROBUST_QUIESCENT_MONITOR=0
-// (or MonitorConfig::quiescent = false) pins the periodic reference path;
+// runs unimpeded between incidents. MonitorConfig::quiescent = false pins the
+// periodic reference path (the CLI sets it from BYTEROBUST_QUIESCENT_MONITOR=0);
 // campaign JSON is byte-identical either way.
 
 #ifndef SRC_MONITOR_MONITOR_H_
@@ -47,8 +47,7 @@ struct MonitorConfig {
   // Consecutive unresponsive-switch events required before alerting.
   int switch_event_threshold = 2;
 
-  // Quiescence-driven scheduling (see the file comment). The env knob
-  // BYTEROBUST_QUIESCENT_MONITOR=0 overrides this to false process-wide.
+  // Quiescence-driven scheduling (see the file comment).
   bool quiescent = true;
 };
 
@@ -66,7 +65,7 @@ class Monitor {
   void Stop();
   bool running() const { return running_; }
 
-  // True when this monitor runs the quiescent schedule (config && env).
+  // True when this monitor runs the quiescent schedule.
   bool quiescent() const { return quiescent_; }
 
   // Clears per-run state (outstanding alerts, metric baselines) after the

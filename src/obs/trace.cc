@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/common/sync.h"
@@ -161,14 +160,6 @@ bool StartTrace(const std::string& path, std::string* error) {
   // Traces embed a counter footer; make sure counters actually count.
   SetMetricsEnabled(true);
   return true;
-}
-
-bool StartTraceFromEnv(std::string* error) {
-  const char* path = std::getenv("BYTEROBUST_TRACE");
-  if (path == nullptr || path[0] == '\0') {
-    return true;
-  }
-  return StartTrace(path, error);
 }
 
 void StopTrace() { Writer().Close(); }

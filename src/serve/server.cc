@@ -341,6 +341,7 @@ std::string ServeDaemon::Execute(PendingRequest* request) {
   creq.resume_path = req.resume;
   creq.retries = req.retries;
   creq.journal_sync = req.journal_sync;
+  creq.knobs = opts_.knobs;
 
   CampaignEngineSpec spec;
   std::string error;

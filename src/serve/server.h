@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/campaign/knobs.h"
 #include "src/common/sync.h"
 #include "src/common/thread_annotations.h"
 #include "src/obs/metrics.h"
@@ -45,6 +46,7 @@ struct ServeOptions {
   int max_queue = 16;       // waiting slots beyond the workers' before shedding
   int max_seeds = 4096;     // per-request seed cap
   int max_connections = 64; // concurrent client connections before shedding
+  RuntimeKnobs knobs;       // read once at daemon start, stamped on every request
 };
 
 class ServeDaemon {

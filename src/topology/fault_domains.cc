@@ -1,9 +1,7 @@
 #include "src/topology/fault_domains.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 namespace byterobust {
 
@@ -31,14 +29,6 @@ const char* DomainStateName(DomainState state) {
       return "down";
   }
   return "unknown";
-}
-
-bool FaultDomainsEnvEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("BYTEROBUST_FAULT_DOMAINS");
-    return env == nullptr || std::string(env) != "0";
-  }();
-  return enabled;
 }
 
 namespace {

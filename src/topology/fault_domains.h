@@ -56,7 +56,9 @@ const char* DomainStateName(DomainState state);
 struct FaultDomainConfig {
   // When false, no graph is attached anywhere: the cluster behaves exactly
   // like the flat pre-domain model (legacy band math in the fleet storm
-  // generator, no congestion term in the perf model).
+  // generator, no congestion term in the perf model). The CLI clears it on
+  // every config from BYTEROBUST_FAULT_DOMAINS=0, the reference path of the
+  // cli_fault_domain_equivalence gate.
   bool enabled = true;
   int machines_per_tor = 6;
   int tors_per_spine = 4;
@@ -78,11 +80,6 @@ struct Domain {
   double degradation_factor = 1.0;
   SimTime state_since = 0;
 };
-
-// Process-wide escape hatch: BYTEROBUST_FAULT_DOMAINS=0 pins the legacy flat
-// topology (no graph attached anywhere) so campaign JSON can be byte-compared
-// against the pre-domain binary by the cli_fault_domain_equivalence ctest.
-bool FaultDomainsEnvEnabled();
 
 class FaultDomains {
  public:

@@ -98,7 +98,7 @@ TEST(BatchedStepTest, MidRunDegradeStretchesStepsIdentically) {
   EXPECT_TRUE(saw_slow);
 }
 
-ScenarioConfig CampaignConfig(std::uint64_t seed, bool batched) {
+ScenarioConfig CampaignConfig(std::uint64_t seed, bool batched, SimDuration retention) {
   ScenarioConfig cfg;
   cfg.system.job.name = "batch-equivalence-7B";
   cfg.system.job.model_params_b = 7.0;
@@ -110,6 +110,7 @@ ScenarioConfig CampaignConfig(std::uint64_t seed, bool batched) {
   cfg.system.job.batched_stepping = batched;
   cfg.system.seed = seed;
   cfg.system.spare_machines = 4;
+  cfg.system.metrics_retention = retention;
   cfg.duration = Days(0.5);
   cfg.injector.reference_mtbf = Hours(1.0);
   cfg.injector.reference_machines = 64;
@@ -131,8 +132,8 @@ struct CampaignObservables {
   bool operator==(const CampaignObservables&) const = default;
 };
 
-CampaignObservables RunCampaign(std::uint64_t seed, bool batched) {
-  Scenario scenario(CampaignConfig(seed, batched));
+CampaignObservables RunCampaign(std::uint64_t seed, bool batched, SimDuration retention) {
+  Scenario scenario(CampaignConfig(seed, batched, retention));
   scenario.Run();
   ByteRobustSystem& sys = scenario.system();
   CampaignObservables obs;
@@ -152,14 +153,20 @@ CampaignObservables RunCampaign(std::uint64_t seed, bool batched) {
 
 // Full control-plane campaign (fault mix, monitor, diagnoser, restarts):
 // every campaign metric — including per-incident anomaly detect times — must
-// be identical with batching on and off.
+// be identical with batching on and off, and with the CLI's two-hour metric
+// retention window as with unbounded retention (0).
 TEST(BatchedStepTest, CampaignObservablesMatchPerStepReference) {
   for (const std::uint64_t seed : {2024ull, 7ull}) {
-    const CampaignObservables batched = RunCampaign(seed, true);
-    const CampaignObservables reference = RunCampaign(seed, false);
-    EXPECT_EQ(batched, reference) << "seed " << seed;
-    EXPECT_GT(batched.incidents, 0) << "campaign too quiet to be a meaningful check";
-    EXPECT_FALSE(batched.detect_times.empty());
+    const CampaignObservables reference = RunCampaign(seed, false, 0);
+    EXPECT_GT(reference.incidents, 0) << "campaign too quiet to be a meaningful check";
+    EXPECT_FALSE(reference.detect_times.empty());
+    for (const bool batched : {false, true}) {
+      for (const SimDuration retention : {SimDuration{0}, Hours(2)}) {
+        EXPECT_EQ(RunCampaign(seed, batched, retention), reference)
+            << "seed " << seed << " batched " << batched << " retention "
+            << ToSeconds(retention) << " s";
+      }
+    }
   }
 }
 

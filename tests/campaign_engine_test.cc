@@ -2,8 +2,8 @@
 // runner whose seeds finish out of order, and compares the captured document
 // with one this file builds itself from JsonWriter/WriteAggregate — no engine
 // code is shared with the expectation. Covers every run store (--stream's
-// ordered store, the default spill store, the BYTEROBUST_STREAM_CAMPAIGN=0
-// memory store) at --jobs 1/2/4/8, a quarantined seed, a seed that ignores
+// ordered store, the default spill store, the memory store selected by
+// knobs.spill_store = false) at --jobs 1/2/4/8, a quarantined seed, a seed that ignores
 // the watchdog, and interrupts.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -163,14 +162,9 @@ EngineRun RunEngine(Store store, int jobs, int seeds, Configure configure) {
   spec.run_seed = SyntheticSeed;
   spec.header_fields = WriteHeader;
   spec.aggregates = WriteAggregates;
+  spec.knobs.spill_store = store != Store::kMemory;
   configure(&spec);
-  // The memory store is selected by the environment; no engine thread is
-  // alive while it is set or cleared.
-  if (store == Store::kMemory) {
-    setenv("BYTEROBUST_STREAM_CAMPAIGN", "0", 1);
-  }
   run.code = RunCampaignEngine(spec);
-  unsetenv("BYTEROBUST_STREAM_CAMPAIGN");
   return run;
 }
 
@@ -245,7 +239,6 @@ TEST(CampaignEngineTest, SeedIgnoringWatchdogIsQuarantinedAndOthersCarryOn) {
   const std::vector<FailedRun> failed = {
       {kHung, kBaseSeed + kHung, /*attempts=*/1, /*timed_out=*/true,
        "seed watchdog fired after 0.050s and the worker did not yield"}};
-  setenv("BYTEROBUST_SEED_TIMEOUT_S", "0.05", 1);
   for (Store store : kStores) {
     const std::string expected = ExpectedDocument(survivors, failed, store == Store::kOrdered);
     for (int jobs : {1, 4}) {
@@ -253,6 +246,7 @@ TEST(CampaignEngineTest, SeedIgnoringWatchdogIsQuarantinedAndOthersCarryOn) {
       g_release_hung.store(false);
       g_hung_returned.store(false);
       const EngineRun run = RunEngine(store, jobs, kSeeds, [](CampaignEngineSpec* spec) {
+        spec->knobs.seed_timeout_s = 0.05;
         spec->retries_override = 2;  // a hang is not retried
         spec->run_seed = SeedHungUntilReleased;
       });
@@ -264,7 +258,6 @@ TEST(CampaignEngineTest, SeedIgnoringWatchdogIsQuarantinedAndOthersCarryOn) {
       }
     }
   }
-  unsetenv("BYTEROBUST_SEED_TIMEOUT_S");
 }
 
 // Flips the spec's external stop once `after` seeds are done, from inside the

@@ -5,7 +5,8 @@
 # helper's message. The "CLI" under test is cmake itself, so no build is
 # needed. Fixtures: a real two-seed quickstart campaign in the default layout
 # (campaign.json), the same campaign under --stream (campaign_stream.json),
-# and campaign.json with one byte of one run changed (campaign_changed_run.json).
+# campaign.json with one byte of one run changed (campaign_changed_run.json),
+# and a stand-in serve daemon that only writes its pid file (fake_serve.sh).
 #
 #   cmake -DWORK_DIR=<scratch dir> -P tests/check_lib_selftest.cmake
 
@@ -34,6 +35,13 @@ elseif(CASE STREQUAL "run_env_probe")
 elseif(CASE STREQUAL "serve_exit_not_30")
   file(WRITE ${WORK_DIR}/daemon.exit "0")
   br_serve_stop(daemon SIGNALLED)
+elseif(CASE STREQUAL "serve_leak")
+  # A gate that fails while its daemon runs must stop the daemon.
+  set(CLI ${fx}/fake_serve.sh)
+  br_serve_start(daemon)
+  br_bash("fake daemon wrote no pid file"
+      "for i in $(seq 100); do [ -s '${WORK_DIR}/daemon.pid' ] && exit 0; sleep 0.05; done; exit 1")
+  br_fail("gate failed with its daemon running")
 elseif(NOT DEFINED CASE)
   function(expect_failure case message)
     execute_process(
@@ -67,6 +75,11 @@ elseif(NOT DEFINED CASE)
   file(WRITE ${WORK_DIR}/daemon.exit "30")
   br_serve_stop(daemon SIGNALLED)
   expect_failure(serve_exit_not_30 "exited '0', expected 30")
+  expect_failure(serve_leak "gate failed with its daemon running")
+  file(READ ${WORK_DIR}/serve_leak/daemon.pid leaked_pid)
+  string(STRIP "${leaked_pid}" leaked_pid)
+  br_bash("daemon ${leaked_pid} of the failed gate is still running"
+      "for i in $(seq 100); do kill -0 ${leaked_pid} 2>/dev/null || exit 0; sleep 0.05; done; exit 1")
   message(STATUS "cmake_check_lib_selftest: all helper cases passed")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")

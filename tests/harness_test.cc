@@ -487,7 +487,6 @@ TEST(SeedSupervisorTest, TrailingEstimateScalesDeadline) {
   SupervisorConfig config = FastConfig();
   config.timeout_override_s = 0.0;
   config.timeout_floor_s = 0.001;
-  config.timeout_factor = 10.0;
   SeedSupervisor supervisor(config);
   std::string result;
   SeedFailure failure;
@@ -498,7 +497,7 @@ TEST(SeedSupervisorTest, TrailingEstimateScalesDeadline) {
         return std::string("slow");
       },
       &result, &failure));
-  // EWMA seeded at ~20ms; deadline = factor * estimate >= 100ms.
+  // EWMA seeded at ~20ms; deadline = 10 * estimate >= 100ms.
   EXPECT_GE(supervisor.AttemptTimeoutS(), 0.1);
   EXPECT_LE(supervisor.AttemptTimeoutS(), 10.0);
 }

@@ -9,6 +9,7 @@ and is equally discoverable by pytest where available.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,10 +22,10 @@ FIXTURE_ALLOW = os.path.join(REPO_ROOT, FIXTURES, "fixture_allow.txt")
 EMPTY_ALLOW = os.devnull
 
 
-def run_lint(paths, allowlist=EMPTY_ALLOW):
-    """Returns (exit_code, stdout) of the lint over repo-relative paths."""
+def run_lint(paths, allowlist=EMPTY_ALLOW, root=REPO_ROOT):
+    """Returns (exit_code, stdout) of the lint over root-relative paths."""
     proc = subprocess.run(
-        [sys.executable, LINT, "--root", REPO_ROOT, "--allowlist", allowlist, *paths],
+        [sys.executable, LINT, "--root", root, "--allowlist", allowlist, *paths],
         capture_output=True,
         text=True,
         check=False,
@@ -59,6 +60,42 @@ class RuleFiresOnFixture(unittest.TestCase):
 
     def test_float_accumulation_order(self):
         self.assert_rule("bad_float_order.cc", "BR-FLOAT-ORDER", min_hits=2)
+
+
+class HiddenEnvUnderSrc(unittest.TestCase):
+    """BR-HIDDEN-ENV fires on the fixture once it sits under src/, and no
+    allowlist entry can suppress it."""
+
+    def lint_as_src(self, allow_entries=None):
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "src"))
+            shutil.copy(os.path.join(REPO_ROOT, FIXTURES, "bad_hidden_env.cc"),
+                        os.path.join(root, "src"))
+            allowlist = EMPTY_ALLOW
+            if allow_entries:
+                allowlist = os.path.join(root, "allow.txt")
+                with open(allowlist, "w", encoding="utf-8") as f:
+                    f.write("\n".join(allow_entries) + "\n")
+            return run_lint(["src/bad_hidden_env.cc"], allowlist=allowlist, root=root)
+
+    def test_fires_under_src(self):
+        code, out = self.lint_as_src()
+        self.assertEqual(code, 1, out)
+        hits = [line for line in out.splitlines() if "[BR-HIDDEN-ENV]" in line]
+        # getenv, secure_getenv and 2x environ, all after 1'000'000'000L.
+        self.assertGreaterEqual(len(hits), 4, out)
+
+    def test_cannot_be_allowlisted(self):
+        code, out = self.lint_as_src(
+            ["BR-HIDDEN-ENV | src/bad_hidden_env.cc | * | A written reason that "
+             "must still not suppress an environment read."])
+        self.assertEqual(code, 1, out)
+        self.assertIn("BR-HIDDEN-ENV cannot be allowlisted", out)
+        self.assertIn("[BR-HIDDEN-ENV]", out)
+
+    def test_only_src_is_scoped(self):
+        code, out = run_lint([f"{FIXTURES}/bad_hidden_env.cc"])
+        self.assertNotIn("[BR-HIDDEN-ENV]", out)
 
 
 class CleanAndSuppressed(unittest.TestCase):

@@ -28,6 +28,10 @@
 // campaign, --journal/--resume give crash-safe restartability, and
 // SIGINT/SIGTERM drain in-flight seeds before exiting.
 //
+// Runtime knobs (src/campaign/knobs.h) come from six BYTEROBUST_* environment
+// variables, read once by ReadRuntimeKnobs before any subcommand runs and
+// passed explicitly from there; a malformed value exits 2 naming the variable.
+//
 // Exit codes (src/harness/exit_codes.h): kExitOk 0 success; kExitIoError 1
 // I/O or worker error; kExitUsage 2 usage/setup error; kExitQuarantine 20
 // campaign completed with quarantined seeds; kExitInterrupted 30 campaign or
@@ -38,16 +42,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/campaign/engine.h"
 #include "src/campaign/json_writer.h"
+#include "src/campaign/knobs.h"
 #include "src/campaign/scenarios.h"
 #include "src/common/sim_time.h"
 #include "src/harness/exit_codes.h"
@@ -63,9 +72,8 @@
 namespace byterobust {
 namespace {
 
-int Emit(JsonWriter* w, const std::string& out_path) {
-  std::string text = w->Take();
-  text += '\n';
+// Writes `text` to stdout and, when out_path is set, to that file.
+int EmitText(const std::string& text, const std::string& out_path) {
   // SIGPIPE is ignored, so a closed pipe surfaces here as a short write.
   if (std::fwrite(text.data(), 1, text.size(), stdout) != text.size() ||
       std::fflush(stdout) != 0) {
@@ -77,6 +85,10 @@ int Emit(JsonWriter* w, const std::string& out_path) {
     return kExitIoError;
   }
   return kExitOk;
+}
+
+int Emit(JsonWriter* w, const std::string& out_path) {
+  return EmitText(w->Take() + "\n", out_path);
 }
 
 // ---------------------------------------------------------------------------
@@ -95,21 +107,15 @@ void HandleStopSignal(int sig) {
 
 // Options shared by every subcommand (parsed below).
 struct Options {
-  std::string scenario;
-  std::uint64_t seed = 42;
-  int seeds = 4;
-  int jobs = 1;
-  double days = -1.0;  // < 0: use the scenario default
-  bool stream = false;  // campaign/fleet: fully incremental output (--stream)
-  std::string out_path;
-  std::string journal_path;  // --journal: crash-safe manifest of committed seeds
-  std::string resume_path;   // --resume: skip seeds already in this journal
-  int retries = -1;          // --retries; < 0 defers to env/default
-  bool journal_sync = false; // --journal-sync: fdatasync per committed record
+  // run / campaign / fleet parameters (--scenario, --seed, --seeds, --days,
+  // --jobs, --stream, --journal, --resume, --retries, --journal-sync), the
+  // environment's runtime knobs (ReadRuntimeKnobs), and --out for every
+  // subcommand.
+  CampaignRequest campaign;
   // Observability side channels (never change output bytes; see src/obs/).
   std::string trace_path;      // --trace: Chrome trace_event JSON span file
   std::string dashboard_path;  // --dashboard: sliding ETTR/MFU series export
-  // serve
+  // serve (--jobs is campaign.jobs)
   std::string socket_path;   // --socket (also used by request)
   int workers = 2;           // --workers: concurrent requests executing
   int max_queue = 16;        // --max-queue: waiting slots beyond the workers' (0 = none)
@@ -154,17 +160,16 @@ int Usage() {
                "  machine crashes, not just process crashes); --resume FILE skips the\n"
                "  seeds that manifest already holds and appends the rest, producing\n"
                "  byte-identical merged output. --retries N bounds per-seed retry\n"
-               "  attempts (also BYTEROBUST_SEED_RETRIES); seeds that still fail are\n"
+               "  attempts (serve: the request's \"retries\"); seeds that still fail are\n"
                "  quarantined into a \"failed_runs\" block (exit 20). SIGINT/SIGTERM\n"
-               "  drain in-flight seeds and exit 30. See also BYTEROBUST_SEED_TIMEOUT_S\n"
-               "  / _FACTOR and BYTEROBUST_HARNESS_FAULTS.\n"
+               "  drain in-flight seeds and exit 30.\n"
                "\n"
-               "  --trace FILE (or BYTEROBUST_TRACE=FILE) records Chrome trace_event\n"
-               "  JSON spans (harness attempts/retries/watchdog, engine workers and\n"
-               "  commit waits, serve request lifecycle) viewable in Perfetto or\n"
-               "  chrome://tracing; --dashboard FILE exports per-job sliding-window\n"
-               "  ETTR/MFU series. Both are side channels: output bytes are identical\n"
-               "  with or without them.\n"
+               "  --trace FILE records Chrome trace_event JSON spans (harness\n"
+               "  attempts/retries/watchdog, engine workers and commit waits, serve\n"
+               "  request lifecycle) viewable in Perfetto or chrome://tracing;\n"
+               "  --dashboard FILE exports per-job sliding-window ETTR/MFU series.\n"
+               "  Both are side channels: output bytes are identical with or without\n"
+               "  them.\n"
                "\n"
                "  serve hosts campaigns as a service: newline-delimited JSON requests\n"
                "  (ops campaign / fleet / status / shutdown) over a local socket, each\n"
@@ -173,6 +178,12 @@ int Usage() {
                "  deadline_s (or a client disconnect) cancels cooperatively into a\n"
                "  valid partial document; SIGTERM drains the daemon and exits 30.\n"
                "  request sends one body and exits with the response's exit_code.\n"
+               "\n"
+               "  Runtime knobs (environment, read once at startup; a malformed value\n"
+               "  exits 2): BYTEROBUST_STEP_BATCHING, _QUIESCENT_MONITOR, _FAULT_DOMAINS\n"
+               "  and _STREAM_CAMPAIGN take 0|1 (0 pins the reference path);\n"
+               "  BYTEROBUST_SEED_TIMEOUT_S=S pins the seed watchdog;\n"
+               "  BYTEROBUST_HARNESS_FAULTS=crash:P,hang:P,throw:P,... injects faults.\n"
                "\nscenarios:\n");
   for (const ScenarioSpec& s : Specs()) {
     std::fprintf(stderr, "  %-12s %s\n", s.name, s.summary);
@@ -225,131 +236,89 @@ bool FlagAllowed(const std::string& command, const std::string& flag) {
 }
 
 bool ParseOptions(const std::string& command, int argc, char** argv, Options* opts) {
+  CampaignRequest& c = opts->campaign;
+  const std::pair<const char*, bool*> switch_flags[] = {
+      {"--stream", &c.stream}, {"--journal-sync", &c.journal_sync}, {"--raw", &opts->raw}};
+  const std::pair<const char*, std::string*> text_flags[] = {
+      {"--preset", &c.scenario},       {"--scenario", &c.scenario},
+      {"--out", &c.out_path},          {"--journal", &c.journal_path},
+      {"--resume", &c.resume_path},    {"--socket", &opts->socket_path},
+      {"--pid-file", &opts->pid_file}, {"--trace", &opts->trace_path},
+      {"--dashboard", &opts->dashboard_path}, {"--body", &opts->body},
+      {"--body-file", &opts->body_file}};
+  struct IntFlag {
+    const char* flag;
+    int lo;
+    int hi;
+    int* out;
+  };
+  const IntFlag int_flags[] = {
+      {"--seeds", 1, 100000, &c.seeds},        {"--jobs", 1, 256, &c.jobs},
+      {"--retries", 0, 100, &c.retries},       {"--workers", 1, 64, &opts->workers},
+      {"--max-queue", 0, 1024, &opts->max_queue}, {"--max-seeds", 1, 100000, &opts->max_seeds}};
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    double value = 0.0;
     if (arg.rfind("--", 0) == 0 && !FlagAllowed(command, arg)) {
       std::fprintf(stderr, "error: option '%s' is not valid for '%s'\n", arg.c_str(),
                    command.c_str());
       return false;
     }
-    if ((arg == "--preset" || arg == "--scenario") && has_value) {
-      opts->scenario = argv[++i];
-    } else if ((arg == "--seed" || arg == "--base-seed") && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
+    const auto same = [&arg](const auto& entry) { return arg == entry.first; };
+    if (const auto* f = std::find_if(std::begin(switch_flags), std::end(switch_flags), same);
+        f != std::end(switch_flags)) {
+      *f->second = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: unknown or incomplete option '%s'\n", arg.c_str());
+      return false;
+    }
+    const char* text = argv[++i];
+    double value = 0.0;
+    if (const auto* f = std::find_if(std::begin(text_flags), std::end(text_flags), same);
+        f != std::end(text_flags)) {
+      *f->second = text;
+    } else if (const auto* n = std::find_if(std::begin(int_flags), std::end(int_flags),
+                                            [&arg](const IntFlag& e) { return arg == e.flag; });
+               n != std::end(int_flags)) {
+      if (!ParseNumber(n->flag, text, &value)) {
+        return false;
+      }
+      if (value < n->lo || value > n->hi) {
+        std::fprintf(stderr, "error: %s must be in [%d, %d]\n", n->flag, n->lo, n->hi);
+        return false;
+      }
+      *n->out = static_cast<int>(value);
+    } else if (arg == "--seed" || arg == "--base-seed") {
+      if (!ParseNumber(arg.c_str(), text, &value)) {
         return false;
       }
       if (value < 0.0 || value > 9.0e15) {
         std::fprintf(stderr, "error: %s must be in [0, 9e15]\n", arg.c_str());
         return false;
       }
-      opts->seed = static_cast<std::uint64_t>(value);
-    } else if (arg == "--seeds" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
-        return false;
-      }
-      if (value < 1.0 || value > 100000.0) {
-        std::fprintf(stderr, "error: --seeds must be in [1, 100000]\n");
-        return false;
-      }
-      opts->seeds = static_cast<int>(value);
-    } else if (arg == "--jobs" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
-        return false;
-      }
-      if (value < 1.0 || value > 256.0) {
-        std::fprintf(stderr, "error: --jobs must be in [1, 256]\n");
-        return false;
-      }
-      opts->jobs = static_cast<int>(value);
-    } else if (arg == "--days" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
+      c.base_seed = static_cast<std::uint64_t>(value);
+    } else if (arg == "--days") {
+      if (!ParseNumber(arg.c_str(), text, &value)) {
         return false;
       }
       if (value <= 0.0) {
         std::fprintf(stderr, "error: --days must be > 0\n");
         return false;
       }
-      opts->days = value;
-    } else if (arg == "--stream") {
-      opts->stream = true;
-    } else if (arg == "--out" && has_value) {
-      opts->out_path = argv[++i];
-    } else if (arg == "--journal" && has_value) {
-      opts->journal_path = argv[++i];
-    } else if (arg == "--resume" && has_value) {
-      opts->resume_path = argv[++i];
-    } else if (arg == "--journal-sync") {
-      opts->journal_sync = true;
-    } else if (arg == "--retries" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
+      c.days = value;
+    } else if (arg == "--wait-s" || arg == "--timeout-s") {
+      if (!ParseNumber(arg.c_str(), text, &value) || value < 0.0) {
+        std::fprintf(stderr, "error: %s must be >= 0\n", arg.c_str());
         return false;
       }
-      if (value < 0.0 || value > 100.0) {
-        std::fprintf(stderr, "error: --retries must be in [0, 100]\n");
-        return false;
-      }
-      opts->retries = static_cast<int>(value);
-    } else if (arg == "--socket" && has_value) {
-      opts->socket_path = argv[++i];
-    } else if (arg == "--workers" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
-        return false;
-      }
-      if (value < 1.0 || value > 64.0) {
-        std::fprintf(stderr, "error: --workers must be in [1, 64]\n");
-        return false;
-      }
-      opts->workers = static_cast<int>(value);
-    } else if (arg == "--max-queue" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
-        return false;
-      }
-      if (value < 0.0 || value > 1024.0) {
-        std::fprintf(stderr, "error: --max-queue must be in [0, 1024]\n");
-        return false;
-      }
-      opts->max_queue = static_cast<int>(value);
-    } else if (arg == "--max-seeds" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
-        return false;
-      }
-      if (value < 1.0 || value > 100000.0) {
-        std::fprintf(stderr, "error: --max-seeds must be in [1, 100000]\n");
-        return false;
-      }
-      opts->max_seeds = static_cast<int>(value);
-    } else if (arg == "--pid-file" && has_value) {
-      opts->pid_file = argv[++i];
-    } else if (arg == "--trace" && has_value) {
-      opts->trace_path = argv[++i];
-    } else if (arg == "--dashboard" && has_value) {
-      opts->dashboard_path = argv[++i];
-    } else if (arg == "--body" && has_value) {
-      opts->body = argv[++i];
-    } else if (arg == "--body-file" && has_value) {
-      opts->body_file = argv[++i];
-    } else if (arg == "--raw") {
-      opts->raw = true;
-    } else if (arg == "--wait-s" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value) || value < 0.0) {
-        std::fprintf(stderr, "error: --wait-s must be >= 0\n");
-        return false;
-      }
-      opts->wait_s = value;
-    } else if (arg == "--timeout-s" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value) || value < 0.0) {
-        std::fprintf(stderr, "error: --timeout-s must be >= 0\n");
-        return false;
-      }
-      opts->timeout_s = value;
+      (arg == "--wait-s" ? opts->wait_s : opts->timeout_s) = value;
     } else {
       std::fprintf(stderr, "error: unknown or incomplete option '%s'\n", arg.c_str());
       return false;
     }
   }
-  if (!opts->journal_path.empty() && !opts->resume_path.empty()) {
+  if (!c.journal_path.empty() && !c.resume_path.empty()) {
     std::fprintf(stderr,
                  "error: --journal and --resume are mutually exclusive "
                  "(--resume already appends to the journal it resumes)\n");
@@ -358,15 +327,55 @@ bool ParseOptions(const std::string& command, int argc, char** argv, Options* op
   return true;
 }
 
+// The one place the process reads its environment: the runtime knobs, each
+// strictly parsed. Unset keeps the default; a malformed value is an error
+// naming the variable.
+bool ReadRuntimeKnobs(RuntimeKnobs* knobs, std::string* error) {
+  const std::pair<const char*, bool*> switches[] = {
+      {"BYTEROBUST_STEP_BATCHING", &knobs->step_batching},
+      {"BYTEROBUST_QUIESCENT_MONITOR", &knobs->quiescent_monitor},
+      {"BYTEROBUST_FAULT_DOMAINS", &knobs->fault_domains},
+      {"BYTEROBUST_STREAM_CAMPAIGN", &knobs->spill_store},
+  };
+  for (const auto& [name, value] : switches) {
+    if (const char* text = std::getenv(name)) {
+      if (std::string(text) != "0" && std::string(text) != "1") {
+        *error = std::string(name) + " must be 0 or 1, got '" + text + "'";
+        return false;
+      }
+      *value = text[0] == '1';
+    }
+  }
+  if (const char* text = std::getenv("BYTEROBUST_SEED_TIMEOUT_S")) {
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (*text == '\0' || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
+      *error = std::string("BYTEROBUST_SEED_TIMEOUT_S must be a number > 0, got '") + text + "'";
+      return false;
+    }
+    knobs->seed_timeout_s = value;
+  }
+  if (const char* text = std::getenv("BYTEROBUST_HARNESS_FAULTS")) {
+    std::string spec_error;
+    if (!HarnessFaultSpec::Parse(text, &knobs->harness_faults, &spec_error)) {
+      *error = "BYTEROBUST_HARNESS_FAULTS: ";
+      *error += spec_error;
+      return false;
+    }
+  }
+  return true;
+}
+
 int CmdRun(const Options& opts) {
-  const ScenarioSpec* spec = FindSpec(opts.scenario);
+  const CampaignRequest& c = opts.campaign;
+  const ScenarioSpec* spec = FindSpec(c.scenario);
   if (spec == nullptr) {
     std::fprintf(stderr, "error: unknown scenario '%s' (try: byterobust list)\n",
-                 opts.scenario.c_str());
+                 c.scenario.c_str());
     return kExitUsage;
   }
-  const double days = opts.days > 0.0 ? opts.days : spec->default_days;
-  const RunResult r = RunOne(*spec, days, opts.seed);
+  const double days = c.days > 0.0 ? c.days : spec->default_days;
+  const RunResult r = RunOne(*spec, days, c.base_seed, c.knobs);
   JsonWriter w;
   w.BeginObject();
   w.Field("tool", "byterobust");
@@ -374,25 +383,14 @@ int CmdRun(const Options& opts) {
   w.Key("result");
   WriteRun(&w, r);
   w.EndObject();
-  return Emit(&w, opts.out_path);
+  return Emit(&w, c.out_path);
 }
 
 // campaign / fleet: one shared body, differing only in the registry the
 // request resolves against (src/campaign/scenarios.cc).
 int RunCampaignCommand(const char* command, const Options& opts) {
-  CampaignRequest req;
+  CampaignRequest req = opts.campaign;
   req.command = command;
-  req.scenario = opts.scenario;
-  req.seeds = opts.seeds;
-  req.base_seed = opts.seed;
-  req.days = opts.days;
-  req.jobs = opts.jobs;
-  req.stream = opts.stream;
-  req.out_path = opts.out_path;
-  req.journal_path = opts.journal_path;
-  req.resume_path = opts.resume_path;
-  req.retries = opts.retries;
-  req.journal_sync = opts.journal_sync;
   CampaignEngineSpec engine;
   std::string error;
   if (!BuildCampaignEngineSpec(req, &engine, &error)) {
@@ -426,9 +424,10 @@ int CmdServe(const Options& opts) {
   ServeOptions sopts;
   sopts.socket_path = opts.socket_path;
   sopts.workers = opts.workers;
-  sopts.jobs = opts.jobs;
+  sopts.jobs = opts.campaign.jobs;
   sopts.max_queue = opts.max_queue;
   sopts.max_seeds = opts.max_seeds;
+  sopts.knobs = opts.campaign.knobs;
   ServeDaemon daemon(sopts);
   std::string error;
   if (!daemon.Start(&error)) {
@@ -448,7 +447,7 @@ int CmdServe(const Options& opts) {
   std::fprintf(stderr,
                "note: byterobust serve listening on %s "
                "(workers=%d, jobs<=%d, queue<=%d, seeds<=%d)\n",
-               opts.socket_path.c_str(), std::max(1, opts.workers), opts.jobs,
+               opts.socket_path.c_str(), std::max(1, opts.workers), opts.campaign.jobs,
                opts.max_queue, opts.max_seeds);
   return daemon.RunUntilStopped(&g_signal_stop);
 }
@@ -464,17 +463,12 @@ int CmdRequest(const Options& opts) {
   }
   std::string body = opts.body;
   if (!opts.body_file.empty()) {
-    std::FILE* f = std::fopen(opts.body_file.c_str(), "rb");
-    if (f == nullptr) {
+    std::ifstream in(opts.body_file, std::ios::binary);
+    if (!in) {
       std::fprintf(stderr, "error: could not read %s\n", opts.body_file.c_str());
       return kExitIoError;
     }
-    char chunk[4096];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      body.append(chunk, n);
-    }
-    std::fclose(f);
+    body.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
     while (!body.empty() && (body.back() == '\n' || body.back() == '\r')) {
       body.pop_back();
     }
@@ -502,14 +496,9 @@ int CmdRequest(const Options& opts) {
   } else {
     text = response + "\n";  // envelope (status/shed/error, or --raw)
   }
-  if (std::fwrite(text.data(), 1, text.size(), stdout) != text.size() ||
-      std::fflush(stdout) != 0) {
-    std::fprintf(stderr, "error: short write on stdout\n");
-    return kExitIoError;
-  }
-  if (!opts.out_path.empty() && !WriteFile(opts.out_path, text)) {
-    std::fprintf(stderr, "error: could not write %s\n", opts.out_path.c_str());
-    return kExitIoError;
+  const int io = EmitText(text, opts.campaign.out_path);
+  if (io != kExitOk) {
+    return io;
   }
   if (exit_code != kExitOk) {
     std::string status;
@@ -549,7 +538,7 @@ int CmdBenchReport(const Options& opts) {
   }
   w.EndArray();
   w.EndObject();
-  return Emit(&w, opts.out_path);
+  return Emit(&w, opts.campaign.out_path);
 }
 
 int CmdList(const Options& opts) {
@@ -579,7 +568,7 @@ int CmdList(const Options& opts) {
   }
   w.EndArray();
   w.EndObject();
-  return Emit(&w, opts.out_path);
+  return Emit(&w, opts.campaign.out_path);
 }
 
 int Main(int argc, char** argv) {
@@ -596,19 +585,16 @@ int Main(int argc, char** argv) {
   if (!ParseOptions(command, argc - 2, argv + 2, &opts)) {
     return Usage();
   }
+  std::string error;
+  if (!ReadRuntimeKnobs(&opts.campaign.knobs, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return kExitUsage;
+  }
   // Tracing starts before the command and stops after it, so a graceful
-  // SIGTERM drain still closes the trace file properly (--trace wins over
-  // BYTEROBUST_TRACE when both are set).
-  {
-    std::string trace_error;
-    const bool trace_ok =
-        opts.trace_path.empty()
-            ? obs::StartTraceFromEnv(&trace_error)
-            : obs::StartTrace(opts.trace_path, &trace_error);
-    if (!trace_ok) {
-      std::fprintf(stderr, "error: %s\n", trace_error.c_str());
-      return kExitIoError;
-    }
+  // SIGTERM drain still closes the trace file properly.
+  if (!opts.trace_path.empty() && !obs::StartTrace(opts.trace_path, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return kExitIoError;
   }
   int code = kExitUsage;
   if (command == "run") {

@@ -28,15 +28,15 @@ foreach(mode default stream)
   string(JSON error GET "${doc}" failed_runs 0 error)
   if(NOT failed EQUAL 1 OR NOT index EQUAL 2 OR NOT seed EQUAL 44
      OR attempts LESS 1 OR error STREQUAL "")
-    message(FATAL_ERROR "${out}: expected one failed run (index 2, seed 44, "
-        "attempts >= 1, error text), got ${failed} (index ${index}, seed ${seed}, "
-        "attempts ${attempts}, error '${error}')")
+    br_fail("${out}: expected one failed run (index 2, seed 44, \
+attempts >= 1, error text), got ${failed} (index ${index}, seed ${seed}, \
+attempts ${attempts}, error '${error}')")
   endif()
 
   # The survivors are seeds 42, 43 and 45, each run unchanged from the clean run.
   br_indices(runs "${doc}" runs)
   if(NOT runs STREQUAL "0;1;2")
-    message(FATAL_ERROR "${out}: expected 3 surviving runs")
+    br_fail("${out}: expected 3 surviving runs")
   endif()
   set(clean_indices 0 1 3)
   set(seeds 42 43 45)
@@ -45,8 +45,8 @@ foreach(mode default stream)
     string(JSON clean_run GET "${clean}" runs ${clean_i})
     string(JSON run_seed GET "${run}" seed)
     if(NOT run_seed EQUAL want_seed OR NOT run STREQUAL clean_run)
-      message(FATAL_ERROR "${out}: surviving run ${i} (seed ${run_seed}) differs "
-          "from the clean run of seed ${want_seed}")
+      br_fail("${out}: surviving run ${i} (seed ${run_seed}) differs \
+from the clean run of seed ${want_seed}")
     endif()
   endforeach()
 endforeach()

@@ -59,12 +59,12 @@ set(quiescent "ENV BYTEROBUST_QUIESCENT_MONITOR=1")
 row(bytes "campaign --scenario dense --seeds 2 --days 0.5" "${periodic}" "${quiescent}")
 row(bytes "campaign --scenario gpu-fault --seeds 4 --days 0.2" "${periodic}" "${quiescent}")
 
-# The spill store (default) with windowed metric compaction matches the
-# memory store with unbounded metrics byte for byte; --stream (the ordered
-# store) carries the same content in its incremental layout.
+# The spill store (default) matches the memory store byte for byte; --stream
+# (the ordered store) carries the same content in its incremental layout.
+# (Windowed vs unbounded metric retention is BatchedStepTest's to compare.)
 gate(cli_campaign_streaming_equivalence)
 set(cmd "campaign --scenario dense --seeds 3 --days 0.4")
-set(memory "ENV BYTEROBUST_STREAM_CAMPAIGN=0 BYTEROBUST_METRIC_WINDOW=0")
+set(memory "ENV BYTEROBUST_STREAM_CAMPAIGN=0")
 row(bytes "${cmd}" "${memory}" "--jobs 1")
 row(bytes "${cmd}" "${memory}" "--jobs 4")
 row(content "${cmd}" "${memory}" "--jobs 2 --stream")
@@ -95,7 +95,7 @@ row(bytes "fleet --scenario fleet-mixed --seeds 4 --days 0.3" "" "${legacy}")
 # Fault draws are keyed on (campaign seed, index, attempt, kind); this spec is
 # verified quarantine-free for these seeds, with at least one watchdog retry.
 set(cmd "campaign --scenario dense --seeds 6 --days 0.3 --seed 42")
-set(faults "ENV BYTEROBUST_HARNESS_FAULTS=crash:0.2,throw:0.15,hang:0.5 BYTEROBUST_SEED_RETRIES=8 BYTEROBUST_SEED_TIMEOUT_S=0.5")
+set(faults "--retries 8 ENV BYTEROBUST_HARNESS_FAULTS=crash:0.2,throw:0.15,hang:0.5 BYTEROBUST_SEED_TIMEOUT_S=0.5")
 gate(cli_campaign_harness_faults)  # buffered (memory store)
 row(bytes "${cmd}" "" "--jobs 1 ${faults} BYTEROBUST_STREAM_CAMPAIGN=0")
 row(bytes "${cmd}" "" "--jobs 8 ${faults} BYTEROBUST_STREAM_CAMPAIGN=0")
@@ -107,19 +107,19 @@ row(bytes "${cmd}" "--stream" "--jobs 1 --stream ${faults} BYTEROBUST_STREAM_CAM
 row(bytes "${cmd}" "--stream" "--jobs 8 --stream ${faults} BYTEROBUST_STREAM_CAMPAIGN=1")
 
 if(rows EQUAL 0)
-  message(FATAL_ERROR "no rows for gate '${GATE}'")
+  br_fail("no rows for gate '${GATE}'")
 endif()
 
 if(GATE STREQUAL "cli_campaign_domain_determinism")
   file(READ ${last_a} doc)
   br_indices(runs "${doc}" runs)
   if(NOT runs STREQUAL "0;1;2;3;4;5;6;7")
-    message(FATAL_ERROR "expected 8 runs, found indices '${runs}'")
+    br_fail("expected 8 runs, found indices '${runs}'")
   endif()
   foreach(i IN LISTS runs)
     string(JSON levels LENGTH "${doc}" runs ${i} fault_domains levels)
     if(levels EQUAL 0)
-      message(FATAL_ERROR "run ${i} has an empty blast-radius block")
+      br_fail("run ${i} has an empty blast-radius block")
     endif()
   endforeach()
 endif()

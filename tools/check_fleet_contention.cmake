@@ -22,6 +22,6 @@ foreach(r IN LISTS runs)
   endforeach()
 endforeach()
 if(contention LESS 1)
-  message(FATAL_ERROR "fleet-contention shows no spare-pool contention")
+  br_fail("fleet-contention shows no spare-pool contention")
 endif()
 message(STATUS "fleet-contention: ${contention} contention events")

@@ -5,9 +5,10 @@
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P tools/check_<gate>.cmake
 #
-# Including this file checks both variables and empties WORK_DIR.
+# Including this file checks both variables and empties WORK_DIR. Every
+# failure goes through br_fail, which stops the gate's serve daemons first.
 # tests/check_lib_selftest.cmake (ctest cmake_check_lib_selftest) shows that
-# each helper fails on a mismatch.
+# each helper fails on a mismatch and that a failing gate leaks no daemon.
 
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
@@ -18,6 +19,22 @@ foreach(var CLI WORK_DIR)
 endforeach()
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
+
+# br_fail(<message>): fails the gate. Each daemon started by br_serve_start
+# that has not exited yet (a <name>.pid in WORK_DIR without a <name>.exit) is
+# sent SIGTERM first, so a failing gate never leaves a `serve` running.
+function(br_fail message)
+  file(GLOB pid_files ${WORK_DIR}/*.pid)
+  foreach(pid_file IN LISTS pid_files)
+    string(REGEX REPLACE "\\.pid$" ".exit" exit_file "${pid_file}")
+    file(READ ${pid_file} pid)
+    string(STRIP "${pid}" pid)
+    if(NOT EXISTS ${exit_file} AND pid MATCHES "^[0-9]+$")
+      execute_process(COMMAND kill -TERM ${pid} OUTPUT_QUIET ERROR_QUIET)
+    endif()
+  endforeach()
+  message(FATAL_ERROR "${message}")
+endfunction()
 
 # br_run(<cli args>... [EXPECT <rc>] [ENV <VAR=value>...])
 # Runs the CLI and fails the gate unless it exits <rc> (default 0). ENV goes
@@ -32,7 +49,7 @@ function(br_run)
       OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc STREQUAL arg_EXPECT)
     string(JOIN " " cmd ${arg_ENV} byterobust ${arg_UNPARSED_ARGUMENTS})
-    message(FATAL_ERROR "`${cmd}` exited ${rc}, expected ${arg_EXPECT}\n${err}")
+    br_fail("`${cmd}` exited ${rc}, expected ${arg_EXPECT}\n${err}")
   endif()
 endfunction()
 
@@ -40,7 +57,7 @@ endfunction()
 function(br_same_bytes a b what)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${a} ${b} RESULT_VARIABLE diff)
   if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "${what}: ${a} and ${b} are not byte-identical")
+    br_fail("${what}: ${a} and ${b} are not byte-identical")
   endif()
 endfunction()
 
@@ -55,12 +72,12 @@ function(br_same_content a b what)
     foreach(side a b)
       string(JSON type_${side} ERROR_VARIABLE err TYPE "${doc_${side}}" ${member})
       if(err)
-        message(FATAL_ERROR "${what}: ${${side}} has no '${member}': ${err}")
+        br_fail("${what}: ${${side}} has no '${member}': ${err}")
       endif()
       string(JSON value_${side} GET "${doc_${side}}" ${member})
     endforeach()
     if(NOT "${type_a}:${value_a}" STREQUAL "${type_b}:${value_b}")
-      message(FATAL_ERROR "${what}: '${member}' differs between ${a} and ${b}")
+      br_fail("${what}: '${member}' differs between ${a} and ${b}")
     endif()
   endforeach()
 endfunction()
@@ -84,7 +101,7 @@ endfunction()
 function(br_bash what script)
   execute_process(COMMAND bash -c "${script}" RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${what}")
+    br_fail("${what}")
   endif()
 endfunction()
 
@@ -116,19 +133,25 @@ function(br_clients name)
       "${script}; rc=0; for p in $pids; do wait $p || rc=1; done; exit $rc")
 endfunction()
 
+# br_serve_wait(<name> <rc>): waits up to 10 s for daemon <name> to exit and
+# requires exit code <rc>.
+function(br_serve_wait name rc)
+  set(exit_file ${WORK_DIR}/${name}.exit)
+  br_bash("serve daemon ${name} did not exit within 10 s"
+      "for i in $(seq 100); do [ -f '${exit_file}' ] && exit 0; sleep 0.1; done; exit 1")
+  file(READ ${exit_file} code)
+  if(NOT code STREQUAL rc)
+    br_fail("serve daemon ${name} exited '${code}', expected ${rc}")
+  endif()
+endfunction()
+
 # br_serve_stop(<name> [SIGNALLED])
-# Sends {"op":"shutdown"} (unless the daemon was already signalled), waits up
-# to 10 s for it to exit, and requires exit 30 (graceful drain).
+# Sends {"op":"shutdown"} (unless the daemon was already signalled) and
+# requires exit 30 (graceful drain).
 function(br_serve_stop name)
   if(NOT "SIGNALLED" IN_LIST ARGN)
     br_run(request --socket ${WORK_DIR}/${name}.sock --body "{\"op\":\"shutdown\"}" --raw
         --wait-s 5 --timeout-s 30)
   endif()
-  set(exit_file ${WORK_DIR}/${name}.exit)
-  br_bash("serve daemon ${name} did not exit within 10 s"
-      "for i in $(seq 100); do [ -f '${exit_file}' ] && exit 0; sleep 0.1; done; exit 1")
-  file(READ ${exit_file} code)
-  if(NOT code STREQUAL "30")
-    message(FATAL_ERROR "serve daemon ${name} exited '${code}', expected 30 (graceful drain)")
-  endif()
+  br_serve_wait(${name} 30)
 endfunction()

@@ -1,6 +1,6 @@
 # ctest helper: observability is a strict side channel. Campaign, fleet and
-# serve outputs must be byte-identical with --trace/--dashboard (or
-# BYTEROBUST_TRACE) enabled vs. disabled — across all three campaign output
+# serve outputs must be byte-identical with --trace/--dashboard enabled vs.
+# disabled — across all three campaign output
 # paths (buffered, spill streaming, --stream) at --jobs 1 and 8 — and every
 # emitted trace must pass tools/trace_validate.py (balanced B/E spans,
 # monotone per-track timestamps) and hold exactly one "seed" span per seed.
@@ -20,7 +20,7 @@ function(validate_trace trace)
       COMMAND ${PYTHON3} ${CMAKE_CURRENT_FUNCTION_LIST_DIR}/trace_validate.py ${trace}
       RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "trace ${trace} failed trace_validate.py")
+    br_fail("trace ${trace} failed trace_validate.py")
   endif()
 endfunction()
 
@@ -60,8 +60,8 @@ foreach(kind campaign fleet)
       file(STRINGS ${w}/trace_${tag}.json seed_spans REGEX "\"ph\":\"B\",.*\"name\":\"seed\",")
       list(LENGTH seed_spans seed_span_count)
       if(NOT seed_span_count EQUAL ${kind}_seeds)
-        message(FATAL_ERROR "${kind} trace (${path}, --jobs ${jobs}) holds "
-            "${seed_span_count} seed spans, expected ${${kind}_seeds}")
+        br_fail("${kind} trace (${path}, --jobs ${jobs}) holds \
+${seed_span_count} seed spans, expected ${${kind}_seeds}")
       endif()
       if(first_dash STREQUAL "")
         set(first_dash ${w}/dash_${tag}.json)
@@ -72,11 +72,6 @@ foreach(kind campaign fleet)
     endforeach()
   endforeach()
 endforeach()
-
-# BYTEROBUST_TRACE (the env knob) must behave exactly like --trace.
-br_run(${campaign_cmd} --jobs 8 --out ${w}/out_env.json ENV BYTEROBUST_TRACE=${w}/trace_env.json)
-br_same_bytes(${w}/ref_campaign_default.json ${w}/out_env.json "campaign under BYTEROBUST_TRACE")
-validate_trace(${w}/trace_env.json)
 
 # Serve: a traced daemon's response body matches the clean CLI --stream
 # reference, and the daemon's drain closes its trace properly.

@@ -19,11 +19,11 @@ include(${CMAKE_CURRENT_LIST_DIR}/check_lib.cmake)
 set(w ${WORK_DIR})
 
 # 1. Admission control under a pinned worker.
-# hang:1.0 pins every seed until the 5s watchdog; retries=0 quarantines it.
+# hang:1.0 pins every seed until the 5s watchdog; "retries":0 quarantines it.
 # The occupier therefore holds the only in-system slot for ~5s — a stable
 # window to probe admission — and then completes as a quarantined response.
 br_serve_start(serve_a --workers 1 --jobs 1 --max-queue 0 --max-seeds 8
-    ENV BYTEROBUST_HARNESS_FAULTS=hang:1.0 BYTEROBUST_SEED_TIMEOUT_S=5 BYTEROBUST_SEED_RETRIES=0)
+    ENV BYTEROBUST_HARNESS_FAULTS=hang:1.0 BYTEROBUST_SEED_TIMEOUT_S=5)
 set(sock_a ${w}/serve_a.sock)
 
 br_run(request --socket ${sock_a}
@@ -31,25 +31,25 @@ br_run(request --socket ${sock_a}
     --raw --wait-s 15 --timeout-s 30 EXPECT 2)
 
 br_bash("admission check failed (want shed_rc=75 occ_rc=20)" "\
-\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1}' --raw --timeout-s 60 >\"${w}/occupier.json\" 2>/dev/null & \
+\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1,\"retries\":0}' --raw --timeout-s 60 >\"${w}/occupier.json\" 2>/dev/null & \
 opid=$!; \
 for i in $(seq 100); do \
   st=$(\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"status\"}' --raw --timeout-s 30 2>/dev/null); \
   case \"$st\" in *'\"active_requests\":1'*) break;; esac; \
   sleep 0.05; \
 done; \
-\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1}' --raw >\"${w}/shed.json\" 2>/dev/null; \
+\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1,\"retries\":0}' --raw >\"${w}/shed.json\" 2>/dev/null; \
 shed_rc=$?; \
 wait $opid; occ_rc=$?; \
 echo \"admission: shed_rc=$shed_rc occ_rc=$occ_rc\" >&2; \
 [ $shed_rc -eq 75 ] && [ $occ_rc -eq 20 ]")
 file(READ ${w}/shed.json shed_response)
 if(NOT shed_response MATCHES "request queue is full")
-  message(FATAL_ERROR "shed response lacks the structured reason: ${shed_response}")
+  br_fail("shed response lacks the structured reason: ${shed_response}")
 endif()
 file(READ ${w}/occupier.json occupier_response)
 if(NOT occupier_response MATCHES "failed_runs")
-  message(FATAL_ERROR "occupier (quarantined) response lacks failed_runs: ${occupier_response}")
+  br_fail("occupier (quarantined) response lacks failed_runs: ${occupier_response}")
 endif()
 br_serve_stop(serve_a)
 
@@ -64,7 +64,7 @@ file(READ ${w}/deadline.json deadline_body)
 string(JSON runs_type ERROR_VARIABLE err TYPE "${deadline_body}" runs)
 string(JSON aggregate_type ERROR_VARIABLE err TYPE "${deadline_body}" aggregate)
 if(NOT "${runs_type} ${aggregate_type}" STREQUAL "ARRAY OBJECT")
-  message(FATAL_ERROR "deadline partial document is not a valid campaign doc: ${err}")
+  br_fail("deadline partial document is not a valid campaign doc: ${err}")
 endif()
 
 # Journaled request, SIGTERM mid-flight. Whether the kill lands before, during

@@ -23,6 +23,10 @@ this lint rejects the classic *sources* of nondeterminism before they land:
   BR-FLOAT-ORDER        accumulation-order hazards for floats: std::reduce /
                         std::transform_reduce, std::execution parallel
                         policies, std::accumulate over an unordered container
+  BR-HIDDEN-ENV         environment reads (getenv, secure_getenv, environ)
+                        anywhere under src/: runtime knobs reach the library
+                        only through RuntimeKnobs, which the CLI fills once.
+                        This rule cannot be allowlisted.
 
 The checker is deliberately "AST-lite": comment/string-stripped sources,
 bracket-matched template types, a regex-extracted function table and a
@@ -91,6 +95,7 @@ FLOAT_ORDER = re.compile(
     r"\bstd\s*::\s*(?:transform_)?reduce\s*\("
     r"|\bstd\s*::\s*execution\s*::\s*(?:par\b|par_unseq\b|unseq\b)"
 )
+HIDDEN_ENV = re.compile(r"\b(?:secure_getenv|getenv)\s*\(|\benviron\b")
 RANGE_FOR = re.compile(
     r"\bfor\s*\(\s*[^;()]*?[:\s&*\w>\]]\s*:\s*(?P<expr>[^)]+)\)"
 )
@@ -137,6 +142,14 @@ def raw_string_prefix_at(source, quote_idx):
     return not (prev.isalnum() or prev == "_")
 
 
+def digit_separator_at(source, quote_idx):
+    """True if the `'` at quote_idx sits inside a numeric literal (1'000)."""
+    start = quote_idx
+    while start > 0 and (source[start - 1].isalnum() or source[start - 1] in "_'."):
+        start -= 1
+    return start < quote_idx and source[start].isdigit()
+
+
 def strip_comments_and_strings(source):
     """Blanks out comments and string/char literals, preserving newlines."""
     out = []
@@ -170,6 +183,9 @@ def strip_comments_and_strings(source):
             else:  # malformed open sequence: treat as an ordinary string
                 out.append(c)
                 i += 1
+        elif c == "'" and digit_separator_at(source, i):
+            out.append(c)  # 1'000'000: a C++14 digit separator, not a literal
+            i += 1
         elif c in "\"'":
             quote = c
             j = i + 1
@@ -377,6 +393,11 @@ def scan_file(rel, text, reachable, spans_by_file):
             "floating-point folds must use a fixed left-to-right order "
             "(std::accumulate over an ordered range)",
         )
+    if rel.startswith("src/"):
+        for m in HIDDEN_ENV.finditer(text):
+            add("BR-HIDDEN-ENV", m.start(),
+                "environment read in the library — runtime knobs reach src/ only "
+                "as RuntimeKnobs fields (src/campaign/knobs.h) the CLI reads once")
     for m in ACCUMULATE.finditer(text):
         if last_identifier(m.group("obj")) in unordered:
             add(
@@ -422,6 +443,9 @@ def parse_allowlist(path):
                 )
                 continue
             rule, glob, needle, justification = parts
+            if rule == "BR-HIDDEN-ENV":
+                errors.append(f"{path}:{lineno}: {rule} cannot be allowlisted")
+                continue
             if len(justification) < 10:
                 errors.append(
                     f"{path}:{lineno}: allowlist entry for {rule} needs a real "

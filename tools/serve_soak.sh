@@ -32,8 +32,7 @@ fail() {
 
 start_daemon() { # $1: exit-code file
   local exit_file=$1
-  (BYTEROBUST_HARNESS_FAULTS="$FAULTS" BYTEROBUST_SEED_RETRIES=8 \
-   BYTEROBUST_SEED_TIMEOUT_S=0.5 \
+  (BYTEROBUST_HARNESS_FAULTS="$FAULTS" BYTEROBUST_SEED_TIMEOUT_S=0.5 \
    "$CLI" serve --socket "$SOCK" --workers 4 --jobs 4 \
        --pid-file "$WORK/serve.pid" >"$WORK/serve.log" 2>&1
    echo -n $? > "$exit_file") &
@@ -61,8 +60,9 @@ await_exit() { # $1: exit-code file
 
 start_daemon "$WORK/serve_1.exit"
 
-CAMPAIGN_REQ='{"op":"campaign","scenario":"dense","seeds":6,"days":0.3,"jobs":4}'
-FLEET_REQ='{"op":"fleet","scenario":"fleet-mixed","seeds":4,"jobs":4}'
+# Every request asks for 8 retries, enough for the injected faults above.
+CAMPAIGN_REQ='{"op":"campaign","scenario":"dense","seeds":6,"days":0.3,"jobs":4,"retries":8}'
+FLEET_REQ='{"op":"fleet","scenario":"fleet-mixed","seeds":4,"jobs":4,"retries":8}'
 
 soak_start=$(date +%s.%N)
 for round in $(seq "$ROUNDS"); do
@@ -128,7 +128,7 @@ echo "serve_soak: status accounting consistent ($total_reqs completed, 0 shed, 0
 # (a partial response or, if the race finished first, a complete one) and the
 # daemon exits 30.
 "$CLI" request --socket "$SOCK" \
-    --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"journal\":\"$WORK/soak.journal\"}" \
+    --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"retries\":8,\"journal\":\"$WORK/soak.journal\"}" \
     --raw --timeout-s 300 >"$WORK/journaled.json" 2>/dev/null &
 cpid=$!
 sleep 0.5
@@ -159,7 +159,7 @@ echo "serve_soak: SIGTERM drain clean (journaled client exit $client_rc)"
 # fault injection still active.
 start_daemon "$WORK/serve_2.exit"
 "$CLI" request --socket "$SOCK" \
-    --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"resume\":\"$WORK/soak.journal\"}" \
+    --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"retries\":8,\"resume\":\"$WORK/soak.journal\"}" \
     --wait-s 15 --timeout-s 300 --out "$WORK/resumed.json" >/dev/null 2>&1 ||
     fail "resume request failed"
 cmp -s "$WORK/ref_resume.json" "$WORK/resumed.json" ||
