@@ -81,7 +81,11 @@ class Cluster {
   // view). After a replacement, the slot points at the standby machine that
   // took over.
   MachineId MachineAtSlot(int slot) const { return slot_to_machine_.at(static_cast<std::size_t>(slot)); }
-  int SlotOfMachine(MachineId id) const;  // -1 if not serving *this* cluster
+  // -1 if not serving *this* cluster. O(1): a machine -> slot table.
+  int SlotOfMachine(MachineId id) const {
+    const std::size_t i = static_cast<std::size_t>(id);
+    return id >= 0 && i < slot_of_.size() ? slot_of_[i] : -1;
+  }
 
   // Evicts the machine at `slot` (blacklists it) and installs `replacement`
   // into the slot. The replacement must not be blacklisted or in service.
@@ -103,9 +107,12 @@ class Cluster {
   MachineId AddMachine();
 
   // Machines not serving, not blacklisted (candidates for standby pool or
-  // rescheduling). Shared across views: a machine serving any job is not
-  // idle.
-  std::vector<MachineId> IdleMachines() const;
+  // rescheduling), in id order. Shared across views: a machine serving any
+  // job is not idle. Read from a set kept up to date on state and blacklist
+  // transitions.
+  std::vector<MachineId> IdleMachines() const {
+    return {core_->idle.begin(), core_->idle.end()};
+  }
 
   // All machines currently serving this cluster's job, in slot order.
   std::vector<MachineId> ServingMachines() const { return slot_to_machine_; }
@@ -114,19 +121,20 @@ class Cluster {
   // model, inspections, fault sampling) iterate this instead.
   const std::vector<MachineId>& serving_slots() const { return slot_to_machine_; }
 
-  // Count of serving machines whose state is kFaulty or kDegraded. Served
-  // from the epoch-keyed health index, so repeated calls between mutations
-  // are O(1).
-  int UnhealthyServingCount() const;
+  // Count of serving machines whose state is kFaulty or kDegraded, from the
+  // health index below.
+  int UnhealthyServingCount() const { return unhealthy_serving_; }
 
   // -- health epoch + suspect index -----------------------------------------
   //
   // Every health mutation (fault injection, heal, slot swap, eviction,
   // restart, or any mutable Machine::gpu()/host() access) bumps a
-  // monotonically increasing epoch shared by every view of the core.
-  // Consumers key caches on it: the perf model's slowest-clock scan and the
-  // inspection suspect index below are recomputed at most once per epoch
-  // instead of once per query.
+  // monotonically increasing epoch shared by every view of the core, naming
+  // the machine it touched. Consumers key caches on the epoch (the perf
+  // model's slowest-clock scan). Each view keeps its health index — suspect
+  // list and set, unhealthy count — up to date from the touched machine's
+  // id alone; it is rebuilt from scratch only when a view is created or a
+  // fault domain changes.
 
   std::uint64_t health_epoch() const { return core_->health_epoch.value; }
 
@@ -147,10 +155,10 @@ class Cluster {
   // (health_dirty()), in slot order. Machines absent from this list are
   // guaranteed nominal, so inspections iterate only these instead of the
   // whole cluster.
-  const std::vector<MachineId>& SuspectServingMachines() const;
+  const std::vector<MachineId>& SuspectServingMachines() const { return suspect_serving_; }
 
   // Bitmask over the same suspects, for word-parallel membership queries.
-  const MachineSet& SuspectServingSet() const;
+  const MachineSet& SuspectServingSet() const { return suspect_set_; }
 
   // -- hierarchical fault domains -------------------------------------------
 
@@ -169,8 +177,7 @@ class Cluster {
   // Congestion term for this view's serving set: the minimum degradation
   // factor over impaired domains whose machine band the serving set crosses
   // (see FaultDomains::CongestionFactorFor). 1.0 without a graph or without
-  // impairment. Served from the epoch-keyed health index, so repeated calls
-  // between mutations are O(1).
+  // impairment. Recomputed only after the serving set or a domain changed.
   double CongestionFactor() const;
 
  private:
@@ -179,9 +186,11 @@ class Cluster {
     int gpus_per_machine = 0;
     std::vector<std::unique_ptr<Machine>> machines;
     std::set<MachineId> blacklist;
+    // Machines in kIdle that are not blacklisted.
+    std::set<MachineId> idle;
     // Bumped by Cluster mutators and (through the bound hooks) by every
-    // Machine state/health mutation; dispatches each member view's one-shot
-    // waker.
+    // Machine state/health mutation; updates the idle set and each member
+    // view's health index, then dispatches each view's one-shot waker.
     HealthEpoch health_epoch;
     // Root + views sharing this core, in registration order (root first).
     std::vector<Cluster*> members;
@@ -191,22 +200,36 @@ class Cluster {
     ~Core();  // defined in cluster.cc, where FaultDomains is complete
   };
 
+  // Per-slot health index flags.
+  static constexpr std::uint8_t kSuspectFlag = 1;
+  static constexpr std::uint8_t kUnhealthyFlag = 2;
+
   void RegisterWithCore();
-  void FireMutationWakers();
+  void AddCoreMachine(MachineState state);
+  // Health-epoch dispatch: the machine `id` (or, for kAnyMachine, anything)
+  // changed state or health.
+  void OnMachineTouched(MachineId id);
   void InstallSlotMachine(int slot, MachineId replacement);
-  void RefreshHealthIndex() const;
+  // Points `slot` at `id`, moving the machine -> slot table and the health
+  // index from the outgoing machine to `id`.
+  void SetSlotMachine(int slot, MachineId id);
+  // Re-reads the flags of the machine serving `slot` (`serving` false: the
+  // machine is leaving the slot) and applies the difference to the index.
+  void IndexSlot(int slot, bool serving);
+  void RebuildHealthIndex();
 
   std::shared_ptr<Core> core_;
   int num_training_slots_;
   std::vector<MachineId> slot_to_machine_;
+  std::vector<int> slot_of_;  // machine id -> slot in this view, or -1
   std::function<void()> mutation_waker_;  // one-shot, per view
 
-  // Lazily rebuilt once per epoch on first query (mutations are rare next to
-  // the per-step / per-inspection reads that consume the index).
-  mutable std::uint64_t index_epoch_ = ~std::uint64_t{0};
-  mutable std::vector<MachineId> suspect_serving_;
-  mutable MachineSet suspect_set_;
-  mutable int unhealthy_serving_ = 0;
+  // Health index over this view's serving slots.
+  std::vector<std::uint8_t> slot_flags_;
+  std::vector<MachineId> suspect_serving_;  // slot order
+  MachineSet suspect_set_;
+  int unhealthy_serving_ = 0;
+  mutable bool congestion_stale_ = true;
   mutable double congestion_factor_ = 1.0;
 };
 

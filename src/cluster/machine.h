@@ -17,20 +17,26 @@ namespace byterobust {
 using DomainId = int;
 
 // Shared mutation channel between a Cluster core and its Machines: a
-// monotonically increasing health epoch plus a permanent dispatch hook. The
-// owning Cluster installs `on_bump` to fire each member view's one-shot
-// mutation waker (consumers that disarm their periodic work while the
-// cluster is provably healthy — the quiescent monitor — park there and are
-// re-armed by the next mutation). Each view's waker is cleared before being
-// invoked, so a storm of mutations costs one call per parked consumer.
+// monotonically increasing health epoch plus a permanent dispatch hook that
+// receives the id of the machine whose state or health was touched. The
+// owning Cluster installs `on_bump` to update each member view's health index
+// for that machine and to fire each view's one-shot mutation waker
+// (consumers that disarm their periodic work while the cluster is provably
+// healthy — the quiescent monitor — park there and are re-armed by the next
+// mutation). Each view's waker is cleared before being invoked, so a storm of
+// mutations costs one call per parked consumer.
 struct HealthEpoch {
-  std::uint64_t value = 0;
-  std::function<void()> on_bump;
+  // Passed by bumps not about one machine (a fault-domain transition, a new
+  // view): consumers must assume anything changed.
+  static constexpr MachineId kAnyMachine = -1;
 
-  void Bump() {
+  std::uint64_t value = 0;
+  std::function<void(MachineId)> on_bump;
+
+  void Bump(MachineId machine = kAnyMachine) {
     ++value;
     if (on_bump) {
-      on_bump();
+      on_bump(machine);
     }
   }
 };
@@ -133,7 +139,7 @@ class Machine {
  private:
   void BumpMutationCounter() {
     if (health_epoch_hook_ != nullptr) {
-      health_epoch_hook_->Bump();
+      health_epoch_hook_->Bump(id_);
     }
   }
   void MarkHealthDirty() {

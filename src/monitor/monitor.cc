@@ -34,6 +34,9 @@ Monitor::Monitor(const MonitorConfig& config, Simulator* sim, Cluster* cluster, 
       quiescent_(config.quiescent),
       rules_(config.metrics, &job->loss_model()) {
   job_->AddStateObserver([this](JobRunState state) { OnJobStateChange(state); });
+  // A step longer than hang_grace is the one running state in which the hang
+  // predicate can fire; see ArmWatchdog.
+  job_->NotifyStepsLongerThan(config_.hang_grace);
 }
 
 void Monitor::Start() {
@@ -177,14 +180,20 @@ void Monitor::ArmWatchdog() {
   SimTime desired = Simulator::kNoPendingEvent;
   bool crash_armed = false;
   const JobRunState state = job_->state();
-  const bool nominally_running = state == JobRunState::kRunning || state == JobRunState::kHung;
+  // The hang predicate needs now - last_progress > threshold, and threshold
+  // >= hang_grace always. A running job's last progress is the start of its
+  // in-flight step, so while that step is no longer than hang_grace the
+  // predicate cannot fire before the job's next state change or long step,
+  // both of which re-arm through OnJobStateChange.
+  const bool hang_possible =
+      state == JobRunState::kHung ||
+      (state == JobRunState::kRunning && job_->in_flight_step_time() > config_.hang_grace);
   if (state == JobRunState::kCrashed && !crash_reported_) {
     desired = NextTickAtOrAfter(sim_->Now(), config_.watchdog_interval);
     crash_armed = true;
-  } else if (nominally_running && !hang_reported_) {
-    // The hang predicate needs now - last_progress > threshold, and threshold
-    // >= hang_grace always, so no tick at or before last_progress + grace can
-    // fire. The armed tick re-evaluates with fresh progress and re-arms.
+  } else if (hang_possible && !hang_reported_) {
+    // No tick at or before last_progress + grace can fire. The armed tick
+    // re-evaluates with fresh progress and re-arms.
     const SimTime earliest = std::max(sim_->Now(), job_->last_progress_time() + config_.hang_grace);
     desired = NextTickAfter(earliest, config_.watchdog_interval);
   }
@@ -212,6 +221,7 @@ void Monitor::RunWatchdog() {
   // a same-tick pass that stops the job first on the periodic path. It skips
   // the crash branch here; the re-arm below immediately schedules a
   // crash-armed wake at this same timestamp, behind those passes.
+  ++watchdog_wakes_;
   const bool evaluate_crash = !quiescent_ || watchdog_crash_armed_;
   watchdog_event_ = kInvalidEventId;
   watchdog_crash_armed_ = false;

@@ -215,29 +215,34 @@ bool Topology::FindCoveringGroup(const std::vector<MachineId>& machines,
   if (machines.empty()) {
     return false;
   }
-  MachineSet targets(num_machines());
   for (MachineId m : machines) {
     if (m < 0 || m >= num_machines()) {
       return false;  // a foreign machine can never be covered
     }
-    targets.Insert(m);
   }
 
   // Prefer pipeline groups: the paper over-evicts whole PP groups (Sec. 9),
-  // then fall back to DP / TP groups if a smaller kind covers.
+  // then fall back to DP / TP groups if a smaller kind covers. A covering
+  // group hosts the first machine, so only the groups of that machine's
+  // ranks are tried (a group may come up once per rank it has there).
   const GroupKind order[] = {GroupKind::kPipeline, GroupKind::kData, GroupKind::kTensor};
+  const Rank first_rank = machines.front() * config_.gpus_per_machine;
   for (GroupKind kind : order) {
     const std::size_t k = KindIndex(kind);
     const ParallelGroup* best = nullptr;
-    int best_machines = 0;
-    for (std::size_t i = 0; i < groups_[k].size(); ++i) {
-      const MachineSet& gm = group_machine_sets_[k][i];
-      if (!gm.IsSupersetOf(targets)) {
+    std::size_t best_machines = 0;
+    for (Rank r = first_rank; r < first_rank + config_.gpus_per_machine; ++r) {
+      const std::size_t idx = static_cast<std::size_t>(GroupIndexOf(r, kind));
+      const MachineSet& gm = group_machine_sets_[k][idx];
+      if (!std::all_of(machines.begin(), machines.end(),
+                       [&gm](MachineId m) { return gm.Contains(m); })) {
         continue;
       }
-      const int count = static_cast<int>(group_machines_[k][i].size());
-      if (best == nullptr || count < best_machines) {
-        best = &groups_[k][i];
+      // Fewest machines, then lowest index.
+      const std::size_t count = group_machines_[k][idx].size();
+      if (best == nullptr || count < best_machines ||
+          (count == best_machines && groups_[k][idx].index < best->index)) {
+        best = &groups_[k][idx];
         best_machines = count;
       }
     }

@@ -10,12 +10,13 @@
 // All rank->coord, rank->machine and group-membership queries are answered
 // from tables precomputed at construction (the topology is immutable), and
 // every group's machine footprint is additionally kept as a MachineSet
-// bitmask so covering-group search and backup planning run on word-parallel
-// set operations instead of per-call std::set building.
+// bitmask so covering-group search and backup planning run on bit tests and
+// word-parallel set operations instead of per-call std::set building.
 
 #ifndef SRC_TOPOLOGY_PARALLELISM_H_
 #define SRC_TOPOLOGY_PARALLELISM_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -94,6 +95,18 @@ class MachineSet {
     words_[w] |= std::uint64_t{1} << (m & 63);
   }
 
+  void Erase(MachineId m) {
+    const std::size_t w = static_cast<std::size_t>(m) >> 6;
+    if (m >= 0 && w < words_.size()) {
+      words_[w] &= ~(std::uint64_t{1} << (m & 63));
+    }
+  }
+
+  // Widens the universe to at least [0, num_machines), keeping the members.
+  void Grow(int num_machines) {
+    words_.resize(std::max(words_.size(), static_cast<std::size_t>((num_machines + 63) / 64)), 0);
+  }
+
   bool Contains(MachineId m) const {
     const std::size_t w = static_cast<std::size_t>(m) >> 6;
     return w < words_.size() && (words_[w] >> (m & 63)) & 1;
@@ -104,16 +117,6 @@ class MachineSet {
     for (std::size_t i = 0; i < words_.size(); ++i) {
       words_[i] |= other.words_[i];
     }
-  }
-
-  // True when every machine in `other` is also in this set.
-  bool IsSupersetOf(const MachineSet& other) const {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      if ((other.words_[i] & ~words_[i]) != 0) {
-        return false;
-      }
-    }
-    return true;
   }
 
   int Count() const;
@@ -172,9 +175,11 @@ class Topology {
   // True if a and b are in the same TP, PP, or DP group.
   bool SharesAnyGroup(Rank a, Rank b) const;
 
-  // Smallest single parallel group (by member count, preferring PP) whose
-  // machines cover every machine in `machines`; returns false if no single
-  // group covers them. Used by the runtime analyzer for over-eviction.
+  // Smallest single parallel group (by machine count, then lowest index,
+  // preferring PP, then DP, then TP) whose machines cover every machine in
+  // `machines`; returns false if no single group covers them. Used by the
+  // runtime analyzer for over-eviction. Only the groups of the first
+  // machine's ranks are candidates.
   bool FindCoveringGroup(const std::vector<MachineId>& machines, ParallelGroup* out) const;
 
  private:

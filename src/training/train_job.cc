@@ -120,7 +120,8 @@ SimDuration TrainJob::CurrentStepTime() const {
 
 void TrainJob::ScheduleNextStep() {
   step_start_ = sim_->Now();
-  pending_step_ = sim_->Schedule(CurrentStepTime(), [this] { CompleteStep(); });
+  in_flight_step_time_ = CurrentStepTime();
+  pending_step_ = sim_->Schedule(in_flight_step_time_, [this] { CompleteStep(); });
 }
 
 void TrainJob::CompleteStep() {
@@ -149,6 +150,9 @@ void TrainJob::CompleteStep() {
   }
   if (state_ == JobRunState::kRunning) {
     ScheduleNextStep();
+    if (in_flight_step_time_ > long_step_limit_) {
+      NotifyStateObservers();  // Start() notifies after its own first step
+    }
   }
 }
 

@@ -22,8 +22,10 @@
 #ifndef SRC_TRAINING_TRAIN_JOB_H_
 #define SRC_TRAINING_TRAIN_JOB_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -91,12 +93,17 @@ class TrainJob {
   using QuietPrefixFn = std::function<std::int64_t(const StepRun&)>;
   void SetQuietPrefix(QuietPrefixFn quiet_prefix) { quiet_prefix_ = std::move(quiet_prefix); }
 
-  // Observer invoked after every run-state transition (Start/Stop/Crash/Hang).
-  // The quiescent monitor uses it to re-arm its watchdog on demand instead of
-  // polling the state on a fixed cadence.
+  // Observer invoked after every run-state transition (Start/Stop/Crash/Hang)
+  // and whenever the running job schedules a step longer than the limit set
+  // by NotifyStepsLongerThan. The quiescent monitor uses it to re-arm its
+  // watchdog on demand instead of polling the state on a fixed cadence.
   using StateObserver = std::function<void(JobRunState)>;
   void AddStateObserver(StateObserver observer) {
     state_observers_.push_back(std::move(observer));
+  }
+  // Lowers the long-step limit above (no step notifies by default).
+  void NotifyStepsLongerThan(SimDuration limit) {
+    long_step_limit_ = std::min(long_step_limit_, limit);
   }
 
   // -- control ---------------------------------------------------------------
@@ -142,6 +149,10 @@ class TrainJob {
   int run_count() const { return run_count_; }
   Rank hang_culprit() const { return hang_culprit_; }
   SimTime last_progress_time() const { return last_progress_time_; }
+  // Length of the step in flight; 0 when none is scheduled.
+  SimDuration in_flight_step_time() const {
+    return pending_step_ != kInvalidEventId ? in_flight_step_time_ : 0;
+  }
 
   double CurrentMfu() const;
   SimDuration CurrentStepTime() const;
@@ -192,6 +203,8 @@ class TrainJob {
   Rank hang_culprit_ = -1;
   SimTime last_progress_time_ = 0;
   SimTime step_start_ = 0;
+  SimDuration in_flight_step_time_ = 0;
+  SimDuration long_step_limit_ = std::numeric_limits<SimDuration>::max();
   EventId pending_step_ = kInvalidEventId;
 };
 

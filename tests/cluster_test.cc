@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/cluster/cluster.h"
+#include "src/common/rng.h"
+#include "src/topology/fault_domains.h"
 
 namespace byterobust {
 namespace {
@@ -172,6 +177,165 @@ TEST(ClusterTest, IdleExcludesBlacklisted) {
   EXPECT_EQ(cluster.IdleMachines().size(), 2u);
   cluster.Blacklist(2);
   EXPECT_EQ(cluster.IdleMachines().size(), 1u);
+}
+
+// ---- Incremental health index against a from-scratch rescan ---------------
+
+// Every view's index (suspects, unhealthy count, congestion, machine -> slot)
+// and the shared idle set must equal what a full rescan computes.
+void ExpectIndexMatchesRescan(const Cluster& c) {
+  std::vector<MachineId> suspects;
+  int unhealthy = 0;
+  for (MachineId id : c.serving_slots()) {
+    const Machine& m = c.machine(id);
+    if (m.health_dirty()) {
+      suspects.push_back(id);
+    }
+    unhealthy += m.state() == MachineState::kFaulty || m.state() == MachineState::kDegraded;
+  }
+  EXPECT_EQ(c.SuspectServingMachines(), suspects);
+  EXPECT_EQ(c.UnhealthyServingCount(), unhealthy);
+
+  std::vector<MachineId> idle;
+  for (MachineId id = 0; id < static_cast<MachineId>(c.total_machines()); ++id) {
+    const auto it = std::find(c.serving_slots().begin(), c.serving_slots().end(), id);
+    const int slot =
+        it == c.serving_slots().end() ? -1 : static_cast<int>(it - c.serving_slots().begin());
+    EXPECT_EQ(c.SlotOfMachine(id), slot) << "machine " << id;
+    EXPECT_EQ(c.SuspectServingSet().Contains(id),
+              std::find(suspects.begin(), suspects.end(), id) != suspects.end())
+        << "machine " << id;
+    if (c.machine(id).state() == MachineState::kIdle && !c.IsBlacklisted(id)) {
+      idle.push_back(id);
+    }
+  }
+  EXPECT_EQ(c.IdleMachines(), idle);
+
+  const FaultDomains* domains = c.fault_domains();
+  const double congestion = domains != nullptr && domains->AnyImpaired()
+                                ? domains->CongestionFactorFor(c.serving_slots())
+                                : 1.0;
+  EXPECT_EQ(c.CongestionFactor(), congestion);
+}
+
+// Applies random mutations through every path that can move the index —
+// machine health writes, resets and state changes, slot replacement and
+// detachment, new machines, blacklisting and domain impairment — to the
+// views of one core, checking every view after every step.
+void RunRandomMutations(std::vector<Cluster*> views, std::uint64_t seed, int steps) {
+  Rng rng(seed);
+  // Uniform index in [0, n).
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto pick_int = [&pick](int n) {
+    return static_cast<int>(pick(static_cast<std::size_t>(n)));
+  };
+  Cluster& any = *views.front();
+  const auto serving_anywhere = [&views](MachineId id) {
+    return std::any_of(views.begin(), views.end(), [id](const Cluster* v) {
+      const auto& slots = v->serving_slots();
+      return std::find(slots.begin(), slots.end(), id) != slots.end();
+    });
+  };
+  // Machines a view may install: not serving any view, not blacklisted.
+  const auto free_machines = [&] {
+    std::vector<MachineId> out;
+    for (MachineId id = 0; id < static_cast<MachineId>(any.total_machines()); ++id) {
+      if (!serving_anywhere(id) && !any.IsBlacklisted(id) && !any.machine(id).InService()) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  };
+  const MachineState serving_states[] = {MachineState::kActive, MachineState::kDegraded,
+                                         MachineState::kFaulty};
+  const MachineState spare_states[] = {MachineState::kIdle, MachineState::kStandbySleep,
+                                       MachineState::kStandbyInit};
+
+  for (int step = 0; step < steps; ++step) {
+    Cluster& view = *views[pick(views.size())];
+    const MachineId machine = static_cast<MachineId>(pick(any.total_machines()));
+    switch (rng.UniformInt(0, 9)) {
+      case 0:
+        any.machine(machine).gpu(pick_int(2)).clock_ratio = rng.Uniform(0.2, 1.0);
+        break;
+      case 1:
+        any.machine(machine).host().nic_up = rng.Bernoulli(0.5);
+        break;
+      case 2:
+        any.machine(machine).ResetHealth();
+        break;
+      case 3:
+        any.machine(machine).set_state(serving_anywhere(machine) ? serving_states[pick(3)]
+                                                                 : spare_states[pick(3)]);
+        break;
+      case 4:
+      case 5: {
+        const std::vector<MachineId> free = free_machines();
+        if (view.num_training_slots() == 0 || free.empty()) {
+          break;
+        }
+        const int slot = pick_int(view.num_training_slots());
+        const MachineId replacement = free[pick(free.size())];
+        if (rng.Bernoulli(0.5)) {
+          view.ReplaceSlot(slot, replacement);
+        } else {
+          view.DetachSlotMachine(slot, replacement);
+        }
+        break;
+      }
+      case 6:
+        any.AddMachine();
+        break;
+      case 7:
+        if (!serving_anywhere(machine)) {
+          any.Blacklist(machine);
+        }
+        break;
+      default:
+        if (FaultDomains* domains = any.fault_domains()) {
+          const DomainId id = pick_int(domains->num_domains());
+          if (rng.Bernoulli(0.4)) {
+            domains->Heal(id, step);
+          } else {
+            domains->SetState(id, rng.Bernoulli(0.5) ? DomainState::kDegraded : DomainState::kDown,
+                              rng.Uniform(0.3, 1.0), step);
+          }
+        }
+        break;
+    }
+    for (const Cluster* v : views) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+      ExpectIndexMatchesRescan(*v);
+    }
+    if (testing::Test::HasFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(ClusterIndexProperty, SingleJobClusterMatchesRescan) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Cluster cluster(12, 2, 6);
+    RunRandomMutations({&cluster}, seed, 300);
+  }
+}
+
+TEST(ClusterIndexProperty, FleetViewsWithDomainsMatchRescan) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Cluster pool(kFleetPool, 48, 2);
+    FaultDomainConfig domains;
+    domains.machines_per_tor = 4;
+    domains.tors_per_spine = 2;
+    domains.spines_per_pod = 2;
+    pool.AttachFaultDomains(domains);
+    Cluster a(pool, 14);
+    RunRandomMutations({&pool, &a}, seed, 100);
+    // A view carved mid-sequence, from whatever the pool has left idle.
+    Cluster b(pool, std::min<int>(10, static_cast<int>(pool.IdleMachines().size())));
+    RunRandomMutations({&pool, &a, &b}, seed + 100, 300);
+  }
 }
 
 TEST(ClusterTest, StateNames) {

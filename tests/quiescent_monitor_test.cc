@@ -30,9 +30,9 @@ MonitorConfig MakeConfig(bool quiescent) {
 }
 
 struct Fixture {
-  explicit Fixture(bool quiescent)
+  explicit Fixture(bool quiescent, const JobConfig& job_config = SmallJob())
       : cluster(4, 2, 1),
-        job(SmallJob(), &sim, &cluster, 1),
+        job(job_config, &sim, &cluster, 1),
         monitor(MakeConfig(quiescent), &sim, &cluster, &job) {
     monitor.SetAnomalyHandler([this](const AnomalyReport& r) { reports.push_back(r); });
     job.SetQuietPrefix([this](const StepRun& run) { return monitor.QuietPrefix(run); });
@@ -65,12 +65,7 @@ void RunIncidentScript(Fixture& f) {
   f.sim.RunUntil(Minutes(25));
 }
 
-TEST(QuiescentMonitorTest, ReportsMatchPeriodicReferenceExactly) {
-  Fixture periodic(false);
-  Fixture quiescent(true);
-  RunIncidentScript(periodic);
-  RunIncidentScript(quiescent);
-
+void ExpectSameReports(const Fixture& periodic, const Fixture& quiescent) {
   ASSERT_EQ(periodic.reports.size(), quiescent.reports.size());
   for (std::size_t i = 0; i < periodic.reports.size(); ++i) {
     EXPECT_EQ(periodic.reports[i].source, quiescent.reports[i].source) << "report " << i;
@@ -80,11 +75,74 @@ TEST(QuiescentMonitorTest, ReportsMatchPeriodicReferenceExactly) {
     EXPECT_EQ(periodic.reports[i].symptom_hint, quiescent.reports[i].symptom_hint)
         << "report " << i;
   }
+}
+
+TEST(QuiescentMonitorTest, ReportsMatchPeriodicReferenceExactly) {
+  Fixture periodic(false);
+  Fixture quiescent(true);
+  RunIncidentScript(periodic);
+  RunIncidentScript(quiescent);
+
+  ExpectSameReports(periodic, quiescent);
   // The script yields an inspection hit, a crash-log report and a hang.
   ASSERT_GE(quiescent.reports.size(), 3u);
   EXPECT_EQ(quiescent.reports[0].source, AnomalySource::kInspection);
   EXPECT_EQ(quiescent.reports[1].source, AnomalySource::kCrashLog);
   EXPECT_EQ(quiescent.reports.back().source, AnomalySource::kHangSuspect);
+}
+
+// While the job runs steps no longer than hang_grace the hang predicate
+// cannot fire, so the quiescent watchdog never wakes; the periodic one wakes
+// every watchdog_interval.
+TEST(QuiescentMonitorTest, RunningJobDispatchesNoWatchdogEvents) {
+  Fixture periodic(false);
+  Fixture quiescent(true);
+  for (Fixture* f : {&periodic, &quiescent}) {
+    f->monitor.Start();
+    f->job.Start();
+    f->sim.RunUntil(Hours(24));
+    EXPECT_TRUE(f->reports.empty());
+  }
+  EXPECT_EQ(quiescent.monitor.watchdog_wakes(), 0u);
+  EXPECT_EQ(periodic.monitor.watchdog_wakes(),
+            static_cast<std::uint64_t>(Hours(24) / MonitorConfig{}.watchdog_interval));
+}
+
+// Steps longer than hang_grace are the running state in which the hang
+// predicate can fire: a step slowed by a throttled GPU outlives the threshold
+// once a heal shortens the current step time. The job announces such steps
+// to its state observers, so the quiescent watchdog is armed for them even
+// after a stretch of short steps had disarmed it.
+TEST(QuiescentMonitorTest, LongStepsMatchPeriodicReference) {
+  JobConfig job_config = SmallJob();
+  job_config.base_step_time = Minutes(15);  // > hang_grace (10 min)
+  Fixture periodic(false, job_config);
+  Fixture quiescent(true, job_config);
+  for (Fixture* f : {&periodic, &quiescent}) {
+    f->monitor.Start();
+    f->job.Start();
+    // 2x faster code: 7.5 min steps, below hang_grace.
+    f->sim.Schedule(Hours(1), [f] {
+      f->job.ApplyCodeVersion(CodeVersion{1, 2.0, false, 0, false, "2x"});
+    });
+    // A throttled GPU stretches the next step to 75 min; the heal shortens
+    // the current step time (threshold 30 min) while that step is in flight.
+    f->sim.Schedule(Hours(3), [f] { f->cluster.machine(0).gpu(0).clock_ratio = 0.1; });
+    f->sim.Schedule(Hours(3) + Minutes(20), [f] { f->cluster.machine(0).ResetHealth(); });
+    f->sim.Schedule(Hours(5), [f] {
+      f->job.Stop();
+      f->job.Start();
+      f->monitor.OnJobRestart();
+    });
+    f->sim.Schedule(Hours(6), [f] { f->job.Hang(0); });
+    f->sim.RunUntil(Hours(8));
+  }
+  ExpectSameReports(periodic, quiescent);
+  int hangs = 0;
+  for (const AnomalyReport& r : quiescent.reports) {
+    hangs += r.source == AnomalySource::kHangSuspect ? 1 : 0;
+  }
+  EXPECT_EQ(hangs, 2);  // the slow step, then the real hang
 }
 
 TEST(QuiescentMonitorTest, HealthyRunDispatchesFarFewerEvents) {
@@ -97,8 +155,8 @@ TEST(QuiescentMonitorTest, HealthyRunDispatchesFarFewerEvents) {
   }
   EXPECT_TRUE(periodic.reports.empty());
   EXPECT_TRUE(quiescent.reports.empty());
-  // Periodic: host passes alone tick every 2 s. Quiescent: one watchdog wake
-  // per hang-grace period plus the initial passes.
+  // Periodic: host passes alone tick every 2 s. Quiescent: the initial passes
+  // and no watchdog wake.
   EXPECT_GT(periodic.sim.events_dispatched(), quiescent.sim.events_dispatched() * 20);
 }
 

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "src/common/rng.h"
 #include "src/topology/parallelism.h"
 
 namespace byterobust {
@@ -259,6 +261,70 @@ TEST_P(TopologyProperty, GroupMachineTablesMatchDirectComputation) {
       for (MachineId m = 0; m < topo.num_machines(); ++m) {
         EXPECT_EQ(mask.Contains(m), want.count(m) > 0);
       }
+    }
+  }
+}
+
+// Brute force over every group: the first kind (PP, DP, TP) with a group
+// covering all targets wins; within it, fewest machines, then lowest index.
+bool BruteForceCoveringGroup(const Topology& topo, const std::vector<MachineId>& targets,
+                             ParallelGroup* out) {
+  if (targets.empty()) {
+    return false;
+  }
+  for (GroupKind kind : {GroupKind::kPipeline, GroupKind::kData, GroupKind::kTensor}) {
+    const ParallelGroup* best = nullptr;
+    for (const ParallelGroup& g : topo.AllGroups(kind)) {
+      const std::vector<MachineId> machines = topo.MachinesOfGroup(g);
+      const bool covers = std::all_of(targets.begin(), targets.end(), [&](MachineId m) {
+        return std::find(machines.begin(), machines.end(), m) != machines.end();
+      });
+      if (covers && (best == nullptr || machines.size() < topo.MachinesOfGroup(*best).size())) {
+        best = &g;
+      }
+    }
+    if (best != nullptr) {
+      *out = *best;
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST_P(TopologyProperty, FindCoveringGroupMatchesBruteForce) {
+  Topology topo = MakeTopo();
+  Rng rng(static_cast<std::uint64_t>(topo.world_size()));
+  const auto random_machine = [&] {
+    return static_cast<MachineId>(rng.UniformInt(0, topo.num_machines() - 1));
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<MachineId> targets;
+    const int n = static_cast<int>(rng.UniformInt(1, 4));
+    if (trial % 2 == 0) {
+      // Machines drawn from one random group: some group always covers them.
+      const GroupKind kind = static_cast<GroupKind>(rng.UniformInt(0, 2));
+      const int index = static_cast<int>(rng.UniformInt(0, topo.NumGroups(kind) - 1));
+      const std::vector<MachineId>& machines = topo.GroupMachines(kind, index);
+      for (int i = 0; i < n; ++i) {
+        targets.push_back(machines[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(machines.size()) - 1))]);
+      }
+    } else {
+      for (int i = 0; i < n; ++i) {
+        targets.push_back(random_machine());
+      }
+    }
+    if (trial % 25 == 1) {
+      targets.push_back(rng.Bernoulli(0.5) ? -1 : topo.num_machines());  // foreign
+    }
+    ParallelGroup want{GroupKind::kTensor, -1, {}};
+    ParallelGroup got{GroupKind::kTensor, -1, {}};
+    const bool found = BruteForceCoveringGroup(topo, targets, &want);
+    ASSERT_EQ(topo.FindCoveringGroup(targets, &got), found) << "trial " << trial;
+    if (found) {
+      EXPECT_EQ(got.kind, want.kind) << "trial " << trial;
+      EXPECT_EQ(got.index, want.index) << "trial " << trial;
+      EXPECT_EQ(got.ranks, want.ranks) << "trial " << trial;
     }
   }
 }

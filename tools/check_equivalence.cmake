@@ -58,6 +58,8 @@ set(periodic "ENV BYTEROBUST_QUIESCENT_MONITOR=0")
 set(quiescent "ENV BYTEROBUST_QUIESCENT_MONITOR=1")
 row(bytes "campaign --scenario dense --seeds 2 --days 0.5" "${periodic}" "${quiescent}")
 row(bytes "campaign --scenario gpu-fault --seeds 4 --days 0.2" "${periodic}" "${quiescent}")
+row(bytes "campaign --scenario job-hang --seeds 16" "${periodic}" "${quiescent}")
+row(bytes "campaign --scenario dense-month --days 2" "${periodic}" "${quiescent}")
 
 # The spill store (default) matches the memory store byte for byte; --stream
 # (the ordered store) carries the same content in its incremental layout.
