@@ -1,7 +1,6 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 #include "src/topology/fault_domains.h"
@@ -18,9 +17,9 @@ void Cluster::RegisterWithCore() {
       if (id != HealthEpoch::kAnyMachine) {
         const Machine& m = *core->machines[static_cast<std::size_t>(id)];
         if (m.state() == MachineState::kIdle && core->blacklist.count(id) == 0) {
-          core->idle.insert(id);
+          core->idle.Insert(id);
         } else {
-          core->idle.erase(id);
+          core->idle.Erase(id);
         }
       }
       // Update every member view's index before any waker runs. Then fire
@@ -45,6 +44,7 @@ void Cluster::RegisterWithCore() {
 void Cluster::AddCoreMachine(MachineState state) {
   const MachineId id = static_cast<MachineId>(core_->machines.size());
   core_->machines.push_back(std::make_unique<Machine>(id, core_->gpus_per_machine));
+  core_->idle.Grow(static_cast<int>(core_->machines.size()));
   core_->machines.back()->BindHealthEpoch(&core_->health_epoch);
   if (state != MachineState::kActive) {
     core_->machines.back()->set_state(state);
@@ -92,16 +92,17 @@ Cluster::Cluster(Cluster& parent, int num_slots)
   // throwing constructor never runs its destructor, so registering with the
   // core (or flipping machines kActive) first would leave a dangling member
   // pointer behind the exception.
-  if (core_->idle.size() < static_cast<std::size_t>(num_slots)) {
+  std::vector<MachineId> idle = core_->idle.Members();
+  if (idle.size() < static_cast<std::size_t>(num_slots)) {
     throw std::invalid_argument("fleet pool cannot supply the job's machine demand");
   }
-  slot_to_machine_.assign(core_->idle.begin(),
-                          std::next(core_->idle.begin(), static_cast<std::ptrdiff_t>(num_slots)));
+  idle.resize(static_cast<std::size_t>(num_slots));
+  slot_to_machine_ = std::move(idle);
   RegisterWithCore();
   for (MachineId id : slot_to_machine_) {
     core_->machines[static_cast<std::size_t>(id)]->set_state(MachineState::kActive);
   }
-  core_->health_epoch.Bump();  // new view: every member rebuilds its index
+  RebuildHealthIndex();
 }
 
 Cluster::~Cluster() {
@@ -133,6 +134,7 @@ void Cluster::SetSlotMachine(int slot, MachineId id) {
   slot_to_machine_[s] = id;
   if (static_cast<std::size_t>(id) >= slot_of_.size()) {
     slot_of_.resize(core_->machines.size(), -1);
+    suspect_set_.Grow(static_cast<int>(core_->machines.size()));
   }
   slot_of_[static_cast<std::size_t>(id)] = slot;
   IndexSlot(slot, true);
@@ -214,7 +216,8 @@ double Cluster::CongestionFactor() const {
 
 void Cluster::OnMachineTouched(MachineId id) {
   if (id == HealthEpoch::kAnyMachine) {
-    RebuildHealthIndex();
+    // A fault domain changed: congestion may have, health flags did not.
+    congestion_stale_ = true;
     return;
   }
   const int slot = SlotOfMachine(id);
@@ -250,7 +253,6 @@ void Cluster::IndexSlot(int slot, bool serving) {
       [this](MachineId suspect, int target) { return SlotOfMachine(suspect) < target; });
   if ((flags & kSuspectFlag) != 0) {
     suspect_serving_.insert(pos, id);
-    suspect_set_.Grow(static_cast<int>(core_->machines.size()));
     suspect_set_.Insert(id);
   } else {
     suspect_serving_.erase(pos);

@@ -110,9 +110,7 @@ class Cluster {
   // rescheduling), in id order. Shared across views: a machine serving any
   // job is not idle. Read from a set kept up to date on state and blacklist
   // transitions.
-  std::vector<MachineId> IdleMachines() const {
-    return {core_->idle.begin(), core_->idle.end()};
-  }
+  std::vector<MachineId> IdleMachines() const { return core_->idle.Members(); }
 
   // All machines currently serving this cluster's job, in slot order.
   std::vector<MachineId> ServingMachines() const { return slot_to_machine_; }
@@ -133,8 +131,9 @@ class Cluster {
   // the machine it touched. Consumers key caches on the epoch (the perf
   // model's slowest-clock scan). Each view keeps its health index — suspect
   // list and set, unhealthy count — up to date from the touched machine's
-  // id alone; it is rebuilt from scratch only when a view is created or a
-  // fault domain changes.
+  // id alone; it is built from scratch only when the view is created. A
+  // fault-domain transition (a bump naming no machine) only marks the
+  // congestion factor stale: health flags do not depend on domain state.
 
   std::uint64_t health_epoch() const { return core_->health_epoch.value; }
 
@@ -187,7 +186,7 @@ class Cluster {
     std::vector<std::unique_ptr<Machine>> machines;
     std::set<MachineId> blacklist;
     // Machines in kIdle that are not blacklisted.
-    std::set<MachineId> idle;
+    MachineSet idle;
     // Bumped by Cluster mutators and (through the bound hooks) by every
     // Machine state/health mutation; updates the idle set and each member
     // view's health index, then dispatches each view's one-shot waker.
@@ -206,8 +205,8 @@ class Cluster {
 
   void RegisterWithCore();
   void AddCoreMachine(MachineState state);
-  // Health-epoch dispatch: the machine `id` (or, for kAnyMachine, anything)
-  // changed state or health.
+  // Health-epoch dispatch: the machine `id` changed state or health, or, for
+  // kAnyMachine, a fault domain changed.
   void OnMachineTouched(MachineId id);
   void InstallSlotMachine(int slot, MachineId replacement);
   // Points `slot` at `id`, moving the machine -> slot table and the health

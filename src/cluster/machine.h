@@ -26,8 +26,8 @@ using DomainId = int;
 // mutation). Each view's waker is cleared before being invoked, so a storm of
 // mutations costs one call per parked consumer.
 struct HealthEpoch {
-  // Passed by bumps not about one machine (a fault-domain transition, a new
-  // view): consumers must assume anything changed.
+  // Passed by bumps not about one machine (a fault-domain transition):
+  // consumers must assume any machine's congestion changed.
   static constexpr MachineId kAnyMachine = -1;
 
   std::uint64_t value = 0;

@@ -72,13 +72,15 @@ DomainFaultEffect DomainInjector::ApplyToDomain(DomainFaultKind kind, DomainId i
     Machine& machine = cluster->machine(m);
     switch (kind) {
       case DomainFaultKind::kSpineFlap:
-      case DomainFaultKind::kSwitchStorm:
-        machine.host().switch_reachable = false;
-        machine.host().packet_loss_rate = 0.3;
+      case DomainFaultKind::kSwitchStorm: {
+        HostHealth& host = machine.host();  // one health-epoch bump
+        host.switch_reachable = false;
+        host.packet_loss_rate = 0.3;
         if (machine.state() == MachineState::kActive) {
           machine.set_state(MachineState::kDegraded);  // gray fault, still serving
         }
         break;
+      }
       case DomainFaultKind::kPowerLoss:
         machine.host().os_kernel_ok = false;
         if (machine.InService()) {

@@ -35,7 +35,7 @@ Monitor::Monitor(const MonitorConfig& config, Simulator* sim, Cluster* cluster, 
       rules_(config.metrics, &job->loss_model()) {
   job_->AddStateObserver([this](JobRunState state) { OnJobStateChange(state); });
   // A step longer than hang_grace is the one running state in which the hang
-  // predicate can fire; see ArmWatchdog.
+  // predicate can fire (see ArmWatchdog); the job reports such steps.
   job_->NotifyStepsLongerThan(config_.hang_grace);
 }
 
@@ -182,12 +182,13 @@ void Monitor::ArmWatchdog() {
   const JobRunState state = job_->state();
   // The hang predicate needs now - last_progress > threshold, and threshold
   // >= hang_grace always. A running job's last progress is the start of its
-  // in-flight step, so while that step is no longer than hang_grace the
-  // predicate cannot fire before the job's next state change or long step,
-  // both of which re-arm through OnJobStateChange.
+  // in-flight step, so while that step is no longer than hang_grace (the
+  // job's long-step limit, set in the constructor) the predicate cannot fire
+  // before the job's next state change or long step, both of which re-arm
+  // through OnJobStateChange.
   const bool hang_possible =
       state == JobRunState::kHung ||
-      (state == JobRunState::kRunning && job_->in_flight_step_time() > config_.hang_grace);
+      (state == JobRunState::kRunning && job_->LongStepInFlight());
   if (state == JobRunState::kCrashed && !crash_reported_) {
     desired = NextTickAtOrAfter(sim_->Now(), config_.watchdog_interval);
     crash_armed = true;

@@ -41,6 +41,16 @@ int MachineSet::Count() const {
   return count;
 }
 
+std::vector<MachineId> MachineSet::Members() const {
+  std::vector<MachineId> members;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+      members.push_back(static_cast<MachineId>(w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  }
+  return members;
+}
+
 Topology::Topology(const ParallelismConfig& config) : config_(config) {
   if (!config.Valid()) {
     throw std::invalid_argument("invalid parallelism config: " + config.ToString());

@@ -121,6 +121,9 @@ class MachineSet {
 
   int Count() const;
 
+  // The members in ascending id order.
+  std::vector<MachineId> Members() const;
+
  private:
   std::vector<std::uint64_t> words_;
 };

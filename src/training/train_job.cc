@@ -150,7 +150,7 @@ void TrainJob::CompleteStep() {
   }
   if (state_ == JobRunState::kRunning) {
     ScheduleNextStep();
-    if (in_flight_step_time_ > long_step_limit_) {
+    if (LongStepInFlight()) {
       NotifyStateObservers();  // Start() notifies after its own first step
     }
   }

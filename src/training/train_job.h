@@ -22,7 +22,6 @@
 #ifndef SRC_TRAINING_TRAIN_JOB_H_
 #define SRC_TRAINING_TRAIN_JOB_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -101,10 +100,8 @@ class TrainJob {
   void AddStateObserver(StateObserver observer) {
     state_observers_.push_back(std::move(observer));
   }
-  // Lowers the long-step limit above (no step notifies by default).
-  void NotifyStepsLongerThan(SimDuration limit) {
-    long_step_limit_ = std::min(long_step_limit_, limit);
-  }
+  // Sets the long-step limit above (no step notifies by default).
+  void NotifyStepsLongerThan(SimDuration limit) { long_step_limit_ = limit; }
 
   // -- control ---------------------------------------------------------------
 
@@ -149,9 +146,10 @@ class TrainJob {
   int run_count() const { return run_count_; }
   Rank hang_culprit() const { return hang_culprit_; }
   SimTime last_progress_time() const { return last_progress_time_; }
-  // Length of the step in flight; 0 when none is scheduled.
-  SimDuration in_flight_step_time() const {
-    return pending_step_ != kInvalidEventId ? in_flight_step_time_ : 0;
+  // True while a step longer than the NotifyStepsLongerThan limit is in
+  // flight.
+  bool LongStepInFlight() const {
+    return pending_step_ != kInvalidEventId && in_flight_step_time_ > long_step_limit_;
   }
 
   double CurrentMfu() const;
