@@ -10,7 +10,6 @@
 #include "src/faults/fault_injector.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/fleet_presets.h"
-#include "src/harness/journal.h"
 #include "src/obs/dashboard.h"
 #include "src/recovery/was_model.h"
 #include "src/topology/fault_domains.h"
@@ -696,7 +695,7 @@ bool BuildCampaignEngineSpec(const CampaignRequest& req, CampaignEngineSpec* spe
   spec->stream = req.stream;
   spec->out_path = req.out_path;
   spec->label = std::string(command) + ":" + scenario_name;
-  spec->identity = {command, scenario_name, seeds, base_seed, days, BinaryFingerprint()};
+  spec->identity = {command, scenario_name, seeds, base_seed, days, {}};
   spec->journal_path = req.journal_path;
   spec->resume_path = req.resume_path;
   spec->retries_override = req.retries;

@@ -1,5 +1,6 @@
 #include "src/ckpt/backup_strategy.h"
 
+#include <algorithm>
 #include <set>
 
 namespace byterobust {
@@ -22,8 +23,7 @@ BackupPlan::BackupPlan(const Topology& topology) {
   const ParallelismConfig& cfg = topology.config();
   cross_group_ = cfg.pp >= 2 && cfg.dp >= 2;
   assignments_.reserve(static_cast<std::size_t>(topology.world_size()));
-  // Reused across ranks; vector assignment recycles its capacity.
-  MachineSet all_machines(topology.num_machines());
+  const GroupKind kinds[] = {GroupKind::kPipeline, GroupKind::kData, GroupKind::kTensor};
   for (Rank r = 0; r < topology.world_size(); ++r) {
     BackupAssignment a;
     a.owner = r;
@@ -34,32 +34,31 @@ BackupPlan::BackupPlan(const Topology& topology) {
       // machine can host several pipeline stages or DP columns (when
       // gpus_per_machine exceeds TP or TP*PP), in which case the naive
       // partner would die with the owner. Tier 1 avoids the machines of all
-      // three of the owner's groups; tier 2 relaxes to the PP group only
-      // (the kind the analyzer actually over-evicts) for topologies where a
-      // DP group spans every machine. The per-group machine footprints come
-      // from the topology's precomputed bitmasks, so each rank costs three
-      // word-level unions instead of three tree-set builds.
+      // three of the owner's groups (PP, DP, TP); tier 2 relaxes to the PP
+      // group only (the kind the analyzer actually over-evicts) for
+      // topologies where a DP group spans every machine.
       const RankCoord c = topology.CoordOf(r);
-      const MachineSet& pp_machines =
-          topology.GroupMachineSet(GroupKind::kPipeline, topology.GroupIndexOf(r, GroupKind::kPipeline));
-      all_machines = pp_machines;
-      all_machines.UnionWith(
-          topology.GroupMachineSet(GroupKind::kData, topology.GroupIndexOf(r, GroupKind::kData)));
-      all_machines.UnionWith(
-          topology.GroupMachineSet(GroupKind::kTensor, topology.GroupIndexOf(r, GroupKind::kTensor)));
+      int groups[3];
+      bool spans_all[3];  // the group hosts every machine
+      for (int g = 0; g < 3; ++g) {
+        groups[g] = topology.GroupIndexOf(c, kinds[g]);
+        spans_all[g] = topology.GroupMachineCount(kinds[g], groups[g]) == topology.num_machines();
+      }
       Rank chosen = -1;
-      const MachineSet* const tiers[] = {&all_machines, &pp_machines};
-      for (const MachineSet* forbidden : tiers) {
-        if (forbidden->Count() == topology.num_machines()) {
+      for (const int tier_groups : {3, 1}) {
+        if (std::any_of(spans_all, spans_all + tier_groups, [](bool b) { return b; })) {
           continue;  // every candidate is forbidden; no point scanning pp x dp
         }
         for (int j = 1; j < cfg.pp && chosen < 0; ++j) {
           for (int k = 1; k < cfg.dp && chosen < 0; ++k) {
-            RankCoord pc = c;
-            pc.pp = (c.pp + j) % cfg.pp;
-            pc.dp = (c.dp + k) % cfg.dp;
-            const Rank candidate = topology.RankOf(pc);
-            if (!forbidden->Contains(topology.MachineOfRank(candidate))) {
+            const Rank candidate =
+                topology.RankOf({c.tp, (c.pp + j) % cfg.pp, (c.dp + k) % cfg.dp});
+            const MachineId m = topology.MachineOfRank(candidate);
+            bool forbidden = false;
+            for (int g = 0; g < tier_groups && !forbidden; ++g) {
+              forbidden = topology.GroupHostsMachine(kinds[g], groups[g], m);
+            }
+            if (!forbidden) {
               chosen = candidate;
             }
           }
@@ -104,11 +103,6 @@ bool BackupPlan::SurvivesEviction(const Topology& topology,
 bool BackupPlan::SurvivesGroupEviction(const Topology& topology,
                                        const ParallelGroup& group) const {
   return SurvivesEviction(topology, topology.MachinesOfGroup(group));
-}
-
-std::shared_ptr<const BackupPlan> SharedBackupPlan(const Topology& topology) {
-  return FrozenByConfig<BackupPlan>(
-      topology.config(), [&] { return std::make_shared<const BackupPlan>(topology); });
 }
 
 }  // namespace byterobust

@@ -9,7 +9,6 @@
 #ifndef SRC_CKPT_BACKUP_STRATEGY_H_
 #define SRC_CKPT_BACKUP_STRATEGY_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/topology/parallelism.h"
@@ -49,11 +48,6 @@ class BackupPlan {
   std::vector<BackupAssignment> assignments_;
   bool cross_group_ = false;
 };
-
-// Frozen-template cache companion to SharedTopology: the plan is a pure
-// function of the parallelism config, so campaign seeds share one immutable
-// instance per config instead of rebuilding it per CheckpointManager.
-std::shared_ptr<const BackupPlan> SharedBackupPlan(const Topology& topology);
 
 }  // namespace byterobust
 

@@ -12,7 +12,7 @@ constexpr double kGb = 1e9;
 
 CheckpointManager::CheckpointManager(const CkptManagerConfig& config, Simulator* sim,
                                      TrainJob* job)
-    : config_(config), sim_(sim), job_(job), backup_plan_(SharedBackupPlan(job->topology())) {
+    : config_(config), sim_(sim), job_(job) {
   save_latency_ = SaveLatency();  // pure function of the (fixed) job config
 }
 
@@ -86,8 +86,15 @@ SimDuration CheckpointManager::LoadTime(bool from_remote) const {
   return config_.local_load_overhead + Seconds(s);
 }
 
+const BackupPlan& CheckpointManager::backup_plan() const {
+  if (!backup_plan_) {
+    backup_plan_.emplace(job_->topology());
+  }
+  return *backup_plan_;
+}
+
 bool CheckpointManager::CanRestoreAfterEviction(const std::vector<MachineId>& machines) const {
-  return backup_plan_->SurvivesEviction(job_->topology(), machines);
+  return backup_plan().SurvivesEviction(job_->topology(), machines);
 }
 
 }  // namespace byterobust

@@ -8,7 +8,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <optional>
 
 #include "src/ckpt/backup_strategy.h"
 #include "src/ckpt/cost_model.h"
@@ -61,7 +61,9 @@ class CheckpointManager {
   // Time to load the restorable checkpoint into a restarted job.
   SimDuration LoadTime(bool from_remote) const;
 
-  const BackupPlan& backup_plan() const { return *backup_plan_; }
+  // Built on first use: no campaign seed reads it, and building it walks
+  // every rank.
+  const BackupPlan& backup_plan() const;
 
   // True if every rank's shard survives evicting `machines` (primary or
   // cross-group backup still on a serving machine).
@@ -99,8 +101,7 @@ class CheckpointManager {
   CkptManagerConfig config_;
   Simulator* sim_;
   TrainJob* job_;
-  // Frozen campaign template: shared, immutable per parallelism config.
-  std::shared_ptr<const BackupPlan> backup_plan_;
+  mutable std::optional<BackupPlan> backup_plan_;
   SimDuration save_latency_ = 0;
   mutable std::int64_t durable_step_ = -1;
   std::int64_t saves_started_ = 0;

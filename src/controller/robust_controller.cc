@@ -452,17 +452,15 @@ void RobustController::RunFailSlowVoting(int round, std::shared_ptr<FailSlowVote
       return;
     }
     // Over-evict the flagged group's machines.
-    for (const ParallelGroup& g : job_->topology().Groups(kind)) {
-      if (g.index == index) {
-        std::vector<MachineId> machines;
-        for (MachineId slot : job_->topology().MachinesOfGroup(g)) {
-          machines.push_back(cluster_->MachineAtSlot(slot));
-        }
-        EvictAndRestart(machines, ResolutionMechanism::kAnalyzerEvictRestart, 0);
-        return;
-      }
+    if (index < 0 || index >= job_->topology().NumGroups(kind)) {
+      ReattemptRestart(0);
+      return;
     }
-    ReattemptRestart(0);
+    std::vector<MachineId> machines = job_->topology().GroupMachines(kind, index);
+    for (MachineId& slot : machines) {
+      slot = cluster_->MachineAtSlot(slot);
+    }
+    EvictAndRestart(machines, ResolutionMechanism::kAnalyzerEvictRestart, 0);
   });
 }
 

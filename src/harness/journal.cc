@@ -14,6 +14,8 @@ namespace byterobust {
 namespace {
 
 constexpr char kMagic[] = "byterobust-journal v1";
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 // One line, without its terminator. *had_newline says whether the line was
 // actually terminated — a missing terminator is how crash truncation looks.
@@ -153,10 +155,10 @@ std::string IdentityLine(const CampaignIdentity& id) {
 }  // namespace
 
 std::uint64_t Fnv1a64(const std::string& bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = kFnvOffset;
   for (const char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
+    hash *= kFnvPrime;
   }
   return hash;
 }
@@ -167,18 +169,42 @@ std::string BinaryFingerprint() {
     if (f == nullptr) {
       return std::string("unknown");
     }
-    std::uint64_t hash = 14695981039346656037ULL;
+    // Four FNV-1a lanes over 64-bit words, lane i taking words i, i+4, ...:
+    // the lanes' multiplies overlap instead of forming one byte-serial chain.
+    // The tail is zero-padded to a whole 32-byte block and the byte length is
+    // folded in with the lanes.
+    constexpr std::size_t kBlock = 4 * sizeof(std::uint64_t);
+    std::uint64_t lanes[4] = {kFnvOffset, kFnvOffset, kFnvOffset, kFnvOffset};
+    std::uint64_t length = 0;
     unsigned char buf[1 << 16];
+    std::size_t have = 0;
     std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        hash ^= buf[i];
-        hash *= 1099511628211ULL;
+    do {
+      n = std::fread(buf + have, 1, sizeof(buf) - have, f);
+      have += n;
+      length += n;
+      if (n == 0 && have % kBlock != 0) {
+        std::memset(buf + have, 0, kBlock - have % kBlock);
+        have += kBlock - have % kBlock;
       }
-    }
+      const std::size_t whole = have - have % kBlock;
+      for (std::size_t off = 0; off < whole; off += kBlock) {
+        for (std::size_t lane = 0; lane < 4; ++lane) {
+          std::uint64_t word;
+          std::memcpy(&word, buf + off + lane * sizeof(word), sizeof(word));
+          lanes[lane] = (lanes[lane] ^ word) * kFnvPrime;
+        }
+      }
+      std::memmove(buf, buf + whole, have - whole);
+      have -= whole;
+    } while (n > 0);
     const bool bad = std::ferror(f) != 0;
     std::fclose(f);
-    return bad ? std::string("unknown") : FormatDigest(hash);
+    std::string folded(reinterpret_cast<const char*>(lanes), sizeof(lanes));
+    folded.append(reinterpret_cast<const char*>(&length), sizeof(length));
+    char digest[32];
+    std::snprintf(digest, sizeof(digest), "fnv1a64x4:%016" PRIx64, Fnv1a64(folded));
+    return bad ? std::string("unknown") : std::string(digest);
   }();
   return fingerprint;
 }
@@ -231,8 +257,11 @@ void CampaignJournal::Close() {
   }
 }
 
-bool CampaignJournal::Create(const std::string& path, const CampaignIdentity& identity,
+bool CampaignJournal::Create(const std::string& path, CampaignIdentity identity,
                              std::string* error, bool sync) {
+  if (identity.fingerprint.empty()) {
+    identity.fingerprint = BinaryFingerprint();
+  }
   if (!IdentityValueSafe(identity.command) || !IdentityValueSafe(identity.scenario) ||
       !IdentityValueSafe(identity.fingerprint)) {
     *error = "journal identity fields must not contain '|' or newlines";
@@ -256,9 +285,12 @@ bool CampaignJournal::Create(const std::string& path, const CampaignIdentity& id
   return true;
 }
 
-bool CampaignJournal::OpenForResume(const std::string& path, const CampaignIdentity& expect,
+bool CampaignJournal::OpenForResume(const std::string& path, CampaignIdentity expect,
                                     std::map<int, JournalEntry>* completed,
                                     std::string* error, bool sync) {
+  if (expect.fingerprint.empty()) {
+    expect.fingerprint = BinaryFingerprint();
+  }
   CampaignIdentity recorded;
   long valid_end = 0;
   if (!Load(path, &recorded, completed, &valid_end, error)) {

@@ -7,7 +7,7 @@
 // loses at most the record being written):
 //
 //   byterobust-journal v1
-//   campaign|command=campaign|scenario=dense|seeds=8|base_seed=42|days=0.4|fingerprint=fnv1a:...
+//   campaign|command=campaign|scenario=dense|seeds=8|base_seed=42|days=0.4|fingerprint=fnv1a64x4:...
 //   seed|index=3|summary=<hex-bits>:<hex-bits>:...|bytes=531|digest=fnv1a:<hex>
 //   <531 raw bytes of the rendered "runs" element>
 //   seed|index=0|...
@@ -32,14 +32,14 @@
 
 namespace byterobust {
 
-// FNV-1a 64-bit over bytes; the journal's element digest and the binary
-// fingerprint both use it.
+// FNV-1a 64-bit over bytes; the journal's element digest uses it.
 std::uint64_t Fnv1a64(const std::string& bytes);
 
-// Digest of this process's executable image (/proc/self/exe), formatted
-// "fnv1a:<hex>"; "unknown" when the image cannot be read. A journal written
-// by a different binary is rejected on resume — a rebuilt simulator may
-// render different bytes for the same seed.
+// Digest of this process's executable image (/proc/self/exe), hashed once per
+// process in four word-wide FNV-1a lanes and formatted "fnv1a64x4:<hex>";
+// "unknown" when the image cannot be read. A journal written by a different
+// binary is rejected on resume — a rebuilt simulator may render different
+// bytes for the same seed. Only creating or resuming a journal computes it.
 std::string BinaryFingerprint();
 
 // What identifies a campaign for resume purposes. --jobs / --stream are
@@ -50,6 +50,8 @@ struct CampaignIdentity {
   int seeds = 0;
   std::uint64_t base_seed = 0;
   double days = 0.0;
+  // Empty means "this binary": Create and OpenForResume fill in
+  // BinaryFingerprint(), so a campaign without a journal never hashes it.
   std::string fingerprint;
 
   // True when `other` names the same campaign; on mismatch fills *why with
@@ -76,14 +78,14 @@ class CampaignJournal {
   // writes the identity header. False + *error on I/O failure. `sync` makes
   // every committed record durable with fdatasync (--journal-sync): a machine
   // crash then loses at most the record being written, not the page cache.
-  bool Create(const std::string& path, const CampaignIdentity& identity,
-              std::string* error, bool sync = false);
+  bool Create(const std::string& path, CampaignIdentity identity, std::string* error,
+              bool sync = false);
 
   // Resumes from an existing journal: parses it (see Load), verifies the
   // recorded identity matches `expect`, fills *completed with the committed
   // seeds, truncates any incomplete trailing record, and reopens the file
   // for appending. False + *error on parse/identity/I/O failure.
-  bool OpenForResume(const std::string& path, const CampaignIdentity& expect,
+  bool OpenForResume(const std::string& path, CampaignIdentity expect,
                      std::map<int, JournalEntry>* completed, std::string* error,
                      bool sync = false);
 

@@ -28,10 +28,10 @@
 // Threading model: a Simulator and everything scheduled on it are owned by
 // exactly one campaign worker thread — the seed-parallel pools in the CLI
 // share *nothing* mutable per seed (each worker builds its own simulator,
-// cluster view, and system stack). The class is deliberately unsynchronized;
-// the only process-wide state a simulation touches is the immutable frozen
-// template caches (SharedTopology/SharedBackupPlan, annotated in
-// src/topology/parallelism.h) and the log-level atomic (src/common/log.h).
+// cluster view, and system stack, topology included: a Topology is its
+// config, computed on demand). The class is deliberately unsynchronized; the
+// only process-wide state a simulation touches is the log-level atomic
+// (src/common/log.h).
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_

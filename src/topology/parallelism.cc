@@ -33,14 +33,6 @@ const char* GroupKindName(GroupKind kind) {
   return "??";
 }
 
-int MachineSet::Count() const {
-  int count = 0;
-  for (std::uint64_t w : words_) {
-    count += std::popcount(w);
-  }
-  return count;
-}
-
 std::vector<MachineId> MachineSet::Members() const {
   std::vector<MachineId> members;
   for (std::size_t w = 0; w < words_.size(); ++w) {
@@ -55,44 +47,6 @@ Topology::Topology(const ParallelismConfig& config) : config_(config) {
   if (!config.Valid()) {
     throw std::invalid_argument("invalid parallelism config: " + config.ToString());
   }
-  const int world = world_size();
-  coords_.resize(static_cast<std::size_t>(world));
-  machine_of_.resize(static_cast<std::size_t>(world));
-  for (Rank r = 0; r < world; ++r) {
-    RankCoord c;
-    c.tp = r % config_.tp;
-    c.pp = (r / config_.tp) % config_.pp;
-    c.dp = r / (config_.tp * config_.pp);
-    coords_[static_cast<std::size_t>(r)] = c;
-    machine_of_[static_cast<std::size_t>(r)] = r / config_.gpus_per_machine;
-  }
-
-  for (GroupKind kind : {GroupKind::kTensor, GroupKind::kPipeline, GroupKind::kData}) {
-    const std::size_t k = KindIndex(kind);
-    const int n = NumGroups(kind);
-    groups_[k].resize(static_cast<std::size_t>(n));
-    group_machines_[k].resize(static_cast<std::size_t>(n));
-    group_machine_sets_[k].assign(static_cast<std::size_t>(n), MachineSet(num_machines()));
-    for (Rank r = 0; r < world; ++r) {
-      const std::size_t idx = static_cast<std::size_t>(GroupIndexOf(r, kind));
-      ParallelGroup& g = groups_[k][idx];
-      if (g.ranks.empty()) {
-        g.kind = kind;
-        g.index = static_cast<int>(idx);
-      }
-      // Rank iteration order is increasing coordinate order within a group.
-      g.ranks.push_back(r);
-      group_machine_sets_[k][idx].Insert(machine_of_[static_cast<std::size_t>(r)]);
-    }
-    for (int i = 0; i < n; ++i) {
-      std::vector<MachineId>& machines = group_machines_[k][static_cast<std::size_t>(i)];
-      for (Rank r : groups_[k][static_cast<std::size_t>(i)].ranks) {
-        machines.push_back(machine_of_[static_cast<std::size_t>(r)]);
-      }
-      std::sort(machines.begin(), machines.end());
-      machines.erase(std::unique(machines.begin(), machines.end()), machines.end());
-    }
-  }
 }
 
 void Topology::CheckRank(Rank rank) const {
@@ -103,7 +57,8 @@ void Topology::CheckRank(Rank rank) const {
 
 RankCoord Topology::CoordOf(Rank rank) const {
   CheckRank(rank);
-  return coords_[static_cast<std::size_t>(rank)];
+  const int column = rank / config_.tp;  // pp + PP * dp
+  return {rank - column * config_.tp, column % config_.pp, column / config_.pp};
 }
 
 Rank Topology::RankOf(const RankCoord& coord) const {
@@ -112,7 +67,7 @@ Rank Topology::RankOf(const RankCoord& coord) const {
 
 MachineId Topology::MachineOfRank(Rank rank) const {
   CheckRank(rank);
-  return machine_of_[static_cast<std::size_t>(rank)];
+  return rank / config_.gpus_per_machine;
 }
 
 std::vector<Rank> Topology::RanksOnMachine(MachineId machine) const {
@@ -127,9 +82,7 @@ std::vector<Rank> Topology::RanksOnMachine(MachineId machine) const {
 }
 
 std::vector<Rank> Topology::GroupOf(Rank rank, GroupKind kind) const {
-  CheckRank(rank);
-  const std::size_t idx = static_cast<std::size_t>(GroupIndexOf(rank, kind));
-  return groups_[KindIndex(kind)][idx].ranks;
+  return Members(GroupRanksAt(CoordOf(rank), kind));
 }
 
 std::vector<Rank> Topology::TensorGroupOf(Rank rank) const {
@@ -141,8 +94,10 @@ std::vector<Rank> Topology::PipelineGroupOf(Rank rank) const {
 std::vector<Rank> Topology::DataGroupOf(Rank rank) const { return GroupOf(rank, GroupKind::kData); }
 
 int Topology::GroupIndexOf(Rank rank, GroupKind kind) const {
-  CheckRank(rank);
-  const RankCoord& c = coords_[static_cast<std::size_t>(rank)];
+  return GroupIndexOf(CoordOf(rank), kind);
+}
+
+int Topology::GroupIndexOf(const RankCoord& c, GroupKind kind) const {
   switch (kind) {
     case GroupKind::kTensor:
       return c.pp + config_.pp * c.dp;
@@ -166,23 +121,58 @@ int Topology::NumGroups(GroupKind kind) const {
   return 0;
 }
 
-std::vector<ParallelGroup> Topology::Groups(GroupKind kind) const {
-  return groups_[KindIndex(kind)];
+Topology::Progression Topology::GroupRanks(GroupKind kind, int index) const {
+  if (index < 0 || index >= NumGroups(kind)) {
+    throw std::out_of_range("group index out of range");
+  }
+  const int tp = config_.tp;
+  switch (kind) {
+    case GroupKind::kTensor:  // index = pp + PP * dp
+      return {tp * index, 1, tp};
+    case GroupKind::kPipeline:  // index = tp + TP * dp
+      return {index % tp + tp * config_.pp * (index / tp), tp, config_.pp};
+    case GroupKind::kData:  // index = tp + TP * pp
+      return {index, tp * config_.pp, config_.dp};
+  }
+  return {0, 1, 0};
 }
 
-const std::vector<ParallelGroup>& Topology::AllGroups(GroupKind kind) const {
-  return groups_[KindIndex(kind)];
+Topology::Progression Topology::GroupRanksAt(const RankCoord& c, GroupKind kind) const {
+  const Rank rank = RankOf(c);
+  const int tp = config_.tp;
+  switch (kind) {
+    case GroupKind::kTensor:  // one contiguous block
+      return {rank - c.tp, 1, tp};
+    case GroupKind::kPipeline:  // one rank per stage
+      return {rank - tp * c.pp, tp, config_.pp};
+    case GroupKind::kData:  // one rank per DP replica
+      return {rank - tp * config_.pp * c.dp, tp * config_.pp, config_.dp};
+  }
+  return {0, 1, 0};
+}
+
+std::vector<Rank> Topology::Members(const Progression& group) {
+  std::vector<Rank> ranks(static_cast<std::size_t>(group.size));
+  for (int j = 0; j < group.size; ++j) {
+    ranks[static_cast<std::size_t>(j)] = group.first + j * group.stride;
+  }
+  return ranks;
+}
+
+ParallelGroup Topology::Group(GroupKind kind, int index) const {
+  return {kind, index, Members(GroupRanks(kind, index))};
+}
+
+std::vector<ParallelGroup> Topology::Groups(GroupKind kind) const {
+  std::vector<ParallelGroup> groups;
+  groups.reserve(static_cast<std::size_t>(NumGroups(kind)));
+  for (int i = 0; i < NumGroups(kind); ++i) {
+    groups.push_back(Group(kind, i));
+  }
+  return groups;
 }
 
 std::vector<MachineId> Topology::MachinesOfGroup(const ParallelGroup& group) const {
-  // Groups handed out by this topology resolve to their precomputed machine
-  // list; hand-built groups (foreign index or edited ranks) fall back to a
-  // direct computation so the answer is always correct.
-  const std::size_t k = KindIndex(group.kind);
-  if (group.index >= 0 && static_cast<std::size_t>(group.index) < groups_[k].size() &&
-      groups_[k][static_cast<std::size_t>(group.index)].ranks == group.ranks) {
-    return group_machines_[k][static_cast<std::size_t>(group.index)];
-  }
   std::vector<MachineId> machines;
   machines.reserve(group.ranks.size());
   for (Rank r : group.ranks) {
@@ -193,12 +183,43 @@ std::vector<MachineId> Topology::MachinesOfGroup(const ParallelGroup& group) con
   return machines;
 }
 
-const std::vector<MachineId>& Topology::GroupMachines(GroupKind kind, int index) const {
-  return group_machines_[KindIndex(kind)].at(static_cast<std::size_t>(index));
+std::vector<MachineId> Topology::GroupMachines(GroupKind kind, int index) const {
+  const Progression p = GroupRanks(kind, index);
+  std::vector<MachineId> machines;
+  for (int j = 0; j < p.size; ++j) {
+    const MachineId m = (p.first + j * p.stride) / config_.gpus_per_machine;
+    if (machines.empty() || machines.back() != m) {
+      machines.push_back(m);
+    }
+  }
+  return machines;
 }
 
-const MachineSet& Topology::GroupMachineSet(GroupKind kind, int index) const {
-  return group_machine_sets_[KindIndex(kind)].at(static_cast<std::size_t>(index));
+int Topology::GroupMachineCount(GroupKind kind, int index) const {
+  return MachineCount(GroupRanks(kind, index));
+}
+
+bool Topology::GroupHostsMachine(GroupKind kind, int index, MachineId machine) const {
+  return Hosts(GroupRanks(kind, index), machine);
+}
+
+int Topology::MachineCount(const Progression& group) const {
+  const int gpm = config_.gpus_per_machine;
+  // A stride of at least one machine puts every rank on its own machine; a
+  // shorter stride advances at most one machine per rank, so the footprint
+  // is the contiguous range from the first rank's machine to the last's.
+  if (group.stride >= gpm) {
+    return group.size;
+  }
+  return (group.first + (group.size - 1) * group.stride) / gpm - group.first / gpm + 1;
+}
+
+bool Topology::Hosts(const Progression& group, MachineId machine) const {
+  const Rank lo = machine * config_.gpus_per_machine;
+  // The first member at or past the machine's first rank must exist and lie
+  // on the machine.
+  const int j = lo <= group.first ? 0 : (lo - group.first + group.stride - 1) / group.stride;
+  return j < group.size && group.first + j * group.stride < lo + config_.gpus_per_machine;
 }
 
 Rank Topology::BackupPartnerOf(Rank rank) const {
@@ -210,10 +231,8 @@ Rank Topology::BackupPartnerOf(Rank rank) const {
 }
 
 bool Topology::SharesAnyGroup(Rank a, Rank b) const {
-  CheckRank(a);
-  CheckRank(b);
-  const RankCoord& ca = coords_[static_cast<std::size_t>(a)];
-  const RankCoord& cb = coords_[static_cast<std::size_t>(b)];
+  const RankCoord ca = CoordOf(a);
+  const RankCoord cb = CoordOf(b);
   const bool same_tp_group = ca.pp == cb.pp && ca.dp == cb.dp;
   const bool same_pp_group = ca.tp == cb.tp && ca.dp == cb.dp;
   const bool same_dp_group = ca.tp == cb.tp && ca.pp == cb.pp;
@@ -234,39 +253,44 @@ bool Topology::FindCoveringGroup(const std::vector<MachineId>& machines,
   // Prefer pipeline groups: the paper over-evicts whole PP groups (Sec. 9),
   // then fall back to DP / TP groups if a smaller kind covers. A covering
   // group hosts the first machine, so only the groups of that machine's
-  // ranks are tried (a group may come up once per rank it has there).
+  // ranks are tried, each once: at its first member there.
   const GroupKind order[] = {GroupKind::kPipeline, GroupKind::kData, GroupKind::kTensor};
   const Rank first_rank = machines.front() * config_.gpus_per_machine;
   for (GroupKind kind : order) {
-    const std::size_t k = KindIndex(kind);
-    const ParallelGroup* best = nullptr;
-    std::size_t best_machines = 0;
+    Progression best{0, 1, 0};
+    int best_index = -1;
+    int best_machines = 0;
+    RankCoord c = CoordOf(first_rank);
     for (Rank r = first_rank; r < first_rank + config_.gpus_per_machine; ++r) {
-      const std::size_t idx = static_cast<std::size_t>(GroupIndexOf(r, kind));
-      const MachineSet& gm = group_machine_sets_[k][idx];
-      if (!std::all_of(machines.begin(), machines.end(),
-                       [&gm](MachineId m) { return gm.Contains(m); })) {
-        continue;
+      const Progression p = GroupRanksAt(c, kind);
+      const bool tried = r != p.first && r - p.stride >= first_rank;
+      if (!tried && std::all_of(machines.begin(), machines.end(),
+                                [&](MachineId m) { return Hosts(p, m); })) {
+        // Fewest machines, then lowest index.
+        const int count = MachineCount(p);
+        const int index = GroupIndexOf(c, kind);
+        if (best_index < 0 || count < best_machines ||
+            (count == best_machines && index < best_index)) {
+          best = p;
+          best_index = index;
+          best_machines = count;
+        }
       }
-      // Fewest machines, then lowest index.
-      const std::size_t count = group_machines_[k][idx].size();
-      if (best == nullptr || count < best_machines ||
-          (count == best_machines && groups_[k][idx].index < best->index)) {
-        best = &groups_[k][idx];
-        best_machines = count;
+      // Step to the next rank's coordinate (TP innermost, then PP, then DP).
+      if (++c.tp == config_.tp) {
+        c.tp = 0;
+        if (++c.pp == config_.pp) {
+          c.pp = 0;
+          ++c.dp;
+        }
       }
     }
-    if (best != nullptr) {
-      *out = *best;  // groups of the preferred kind cover; do not widen further
+    if (best_index >= 0) {
+      *out = {kind, best_index, Members(best)};  // the preferred kind covers; do not widen
       return true;
     }
   }
   return false;
-}
-
-std::shared_ptr<const Topology> SharedTopology(const ParallelismConfig& config) {
-  return FrozenByConfig<Topology>(config,
-                                  [&] { return std::make_shared<const Topology>(config); });
 }
 
 }  // namespace byterobust

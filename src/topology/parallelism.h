@@ -7,26 +7,21 @@
 // (Fig. 7), and with TP=2, PP=4, DP=2 the cross-group backup partner of ranks
 // {8, 9} is {2, 3} (Fig. 9).
 //
-// All rank->coord, rank->machine and group-membership queries are answered
-// from tables precomputed at construction (the topology is immutable), and
-// every group's machine footprint is additionally kept as a MachineSet
-// bitmask so covering-group search and backup planning run on bit tests and
-// word-parallel set operations instead of per-call std::set building.
+// The topology holds no tables: every group is the arithmetic progression
+// first + j * stride (j < size) of ranks, so coordinates, machines, group
+// members and group footprints are computed on demand in O(1) or O(group).
+// Because rank order is machine order, a group's machines come out ascending,
+// their count has a closed form, and "does this group host machine m" is one
+// division. Constructing a Topology only validates its config.
 
 #ifndef SRC_TOPOLOGY_PARALLELISM_H_
 #define SRC_TOPOLOGY_PARALLELISM_H_
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
-
-#include "src/common/sync.h"
-#include "src/common/thread_annotations.h"
 
 namespace byterobust {
 
@@ -78,9 +73,8 @@ struct ParallelGroup {
   std::vector<Rank> ranks;
 };
 
-// Fixed-universe bitmask over machine ids [0, num_machines). Used for group
-// machine footprints so coverage and backup-forbidden-set queries are a few
-// word operations instead of tree-set lookups.
+// Fixed-universe bitmask over machine ids [0, num_machines). The cluster keeps
+// its idle and suspect machine sets in it.
 class MachineSet {
  public:
   MachineSet() = default;
@@ -112,15 +106,6 @@ class MachineSet {
     return w < words_.size() && (words_[w] >> (m & 63)) & 1;
   }
 
-  // Adds every machine in `other`; the sets must share a universe size.
-  void UnionWith(const MachineSet& other) {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      words_[i] |= other.words_[i];
-    }
-  }
-
-  int Count() const;
-
   // The members in ascending id order.
   std::vector<MachineId> Members() const;
 
@@ -130,6 +115,7 @@ class MachineSet {
 
 class Topology {
  public:
+  // Throws std::invalid_argument unless config.Valid().
   explicit Topology(const ParallelismConfig& config);
 
   const ParallelismConfig& config() const { return config_; }
@@ -148,24 +134,28 @@ class Topology {
   std::vector<Rank> DataGroupOf(Rank rank) const;
   std::vector<Rank> GroupOf(Rank rank, GroupKind kind) const;
 
-  // Index of the group of `kind` that `rank` belongs to. Groups of a kind are
-  // numbered densely from 0.
+  // Index of the group of `kind` that `rank` (at `coord`) belongs to. Groups
+  // of a kind are numbered densely from 0.
   int GroupIndexOf(Rank rank, GroupKind kind) const;
+  int GroupIndexOf(const RankCoord& coord, GroupKind kind) const;
   int NumGroups(GroupKind kind) const;
 
-  // All groups of a given kind.
+  // The group with this kind and dense index (std::out_of_range otherwise).
+  ParallelGroup Group(GroupKind kind, int index) const;
+
+  // All groups of a given kind, materialized.
   std::vector<ParallelGroup> Groups(GroupKind kind) const;
 
-  // Zero-copy variant of Groups(): the precomputed table itself.
-  const std::vector<ParallelGroup>& AllGroups(GroupKind kind) const;
-
-  // Machines hosting at least one rank of the given group.
+  // Machines hosting at least one rank of the given group, ascending. Works
+  // for hand-built groups too (any rank order).
   std::vector<MachineId> MachinesOfGroup(const ParallelGroup& group) const;
 
-  // Precomputed machine footprint of the group with this kind and dense
-  // index, as a sorted id list and as a bitmask.
-  const std::vector<MachineId>& GroupMachines(GroupKind kind, int index) const;
-  const MachineSet& GroupMachineSet(GroupKind kind, int index) const;
+  // Footprint of the group with this kind and dense index: its machines
+  // (ascending), their count, and whether it hosts `machine`. The count and
+  // the hosting test are O(1).
+  std::vector<MachineId> GroupMachines(GroupKind kind, int index) const;
+  int GroupMachineCount(GroupKind kind, int index) const;
+  bool GroupHostsMachine(GroupKind kind, int index, MachineId machine) const;
 
   // Cross-parallel-group backup partner (paper Sec. 6.3): the rank at
   // pp' = (pp+1) mod PP, dp' = (dp+1) mod DP, same tp. Whenever PP >= 2 and
@@ -186,55 +176,24 @@ class Topology {
   bool FindCoveringGroup(const std::vector<MachineId>& machines, ParallelGroup* out) const;
 
  private:
-  static std::size_t KindIndex(GroupKind kind) { return static_cast<std::size_t>(kind); }
+  // The ranks of one group: first + j * stride for j in [0, size).
+  struct Progression {
+    Rank first;
+    int stride;
+    int size;
+  };
 
+  // The group with this kind and dense index (std::out_of_range otherwise).
+  Progression GroupRanks(GroupKind kind, int index) const;
+  // The group of `kind` holding the rank at `coord`.
+  Progression GroupRanksAt(const RankCoord& coord, GroupKind kind) const;
+  int MachineCount(const Progression& group) const;
+  bool Hosts(const Progression& group, MachineId machine) const;
+  static std::vector<Rank> Members(const Progression& group);
   void CheckRank(Rank rank) const;
 
   ParallelismConfig config_;
-  std::vector<RankCoord> coords_;          // rank -> coordinate
-  std::vector<MachineId> machine_of_;      // rank -> machine
-  std::array<std::vector<ParallelGroup>, 3> groups_;            // kind -> groups
-  std::array<std::vector<std::vector<MachineId>>, 3> group_machines_;
-  std::array<std::vector<MachineSet>, 3> group_machine_sets_;
 };
-
-// Process-wide frozen-template cache: one immutable `T` per distinct
-// ParallelismConfig, built on first request by `build` (returning
-// shared_ptr<const T>). A handful of distinct configs exist per process (one
-// per scenario), so a linear scan under a mutex beats hashing; entries are
-// kept for the process lifetime — that is the point of a frozen template.
-// All consumers only run const queries, so sharing across concurrent
-// campaign workers is safe. The entry list is the one piece of process-wide
-// mutable state on the campaign hot path; clang's thread-safety analysis
-// proves every access holds the cache mutex (BR_GUARDED_BY).
-template <typename T>
-struct FrozenConfigCache {
-  Mutex mutex;
-  std::vector<std::pair<ParallelismConfig, std::shared_ptr<const T>>> entries
-      BR_GUARDED_BY(mutex);
-};
-
-template <typename T, typename Builder>
-std::shared_ptr<const T> FrozenByConfig(const ParallelismConfig& config, Builder build) {
-  // Leaked on purpose: frozen templates live for the process, and a leaked
-  // heap object sidesteps destruction-order races at exit.
-  static auto* cache = new FrozenConfigCache<T>();
-  const MutexLock lock(&cache->mutex);
-  for (const auto& [cached_config, value] : cache->entries) {
-    if (cached_config == config) {
-      return value;
-    }
-  }
-  cache->entries.emplace_back(config, build());
-  return cache->entries.back().second;
-}
-
-// Frozen campaign template: the rank/machine/group tables above are a pure
-// function of the config, yet every campaign seed used to rebuild them
-// (~2.5 ms of the per-seed cost on the 9,600-GPU presets). Hands every
-// TrainJob one immutable shared instance per config; per-seed output is
-// unchanged.
-std::shared_ptr<const Topology> SharedTopology(const ParallelismConfig& config);
 
 }  // namespace byterobust
 

@@ -25,7 +25,7 @@ TrainJob::TrainJob(const JobConfig& config, Simulator* sim, Cluster* cluster, st
     : config_(config),
       sim_(sim),
       cluster_(cluster),
-      topology_(SharedTopology(config.parallelism)),
+      topology_(config.parallelism),
       perf_(config),
       loss_(config, seed) {
   if (cluster_->num_training_slots() < config.parallelism.num_machines()) {

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -160,7 +159,7 @@ class TrainJob {
   const LossModel& loss_model() const { return loss_; }
 
   const JobConfig& config() const { return config_; }
-  const Topology& topology() const { return *topology_; }
+  const Topology& topology() const { return topology_; }
   Cluster* cluster() { return cluster_; }
 
  private:
@@ -182,8 +181,7 @@ class TrainJob {
   JobConfig config_;
   Simulator* sim_;
   Cluster* cluster_;
-  // Frozen campaign template: shared, immutable per parallelism config.
-  std::shared_ptr<const Topology> topology_;
+  Topology topology_;
   PerfModel perf_;
   LossModel loss_;
 

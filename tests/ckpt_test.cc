@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "src/ckpt/backup_strategy.h"
@@ -160,11 +161,14 @@ INSTANTIATE_TEST_SUITE_P(Configs, BackupPlanProperty,
                          ::testing::Values(PlanCase{2, 4, 2, 2}, PlanCase{2, 4, 4, 2},
                                            PlanCase{8, 8, 4, 16}, PlanCase{4, 2, 2, 4},
                                            PlanCase{1, 4, 4, 2}, PlanCase{2, 2, 8, 8},
-                                           PlanCase{1, 1, 8, 2}, PlanCase{8, 16, 4, 16}));
+                                           PlanCase{1, 1, 8, 2}, PlanCase{8, 16, 4, 16},
+                                           // gpus_per_machine not dividing tp, tp > it.
+                                           PlanCase{3, 2, 4, 4}, PlanCase{6, 2, 3, 4},
+                                           PlanCase{8, 3, 2, 2}, PlanCase{2, 2, 6, 8}));
 
-// The pre-bitmask algorithm, kept as a reference: build the owner's forbidden
+// The original algorithm, kept as a reference: build the owner's forbidden
 // machine sets with std::set and walk the same (tier, j, k) candidate order.
-// The optimized constructor must pick byte-for-byte identical targets.
+// The constructor's O(1) hosting tests must pick identical targets.
 Rank ReferenceCrossGroupTarget(const Topology& topo, Rank r) {
   const ParallelismConfig& cfg = topo.config();
   const RankCoord c = topo.CoordOf(r);
@@ -301,30 +305,37 @@ TEST_F(CkptManagerTest, SaveEveryNSteps) {
   EXPECT_EQ(sparse.saves_started(), 2);  // steps 0 and 2 only
 }
 
-// Frozen campaign template: one immutable BackupPlan per parallelism config,
-// identical in content to a freshly built plan.
-TEST(BackupPlanTest, SharedBackupPlanCachesPerConfig) {
-  ParallelismConfig cfg;
-  cfg.tp = 2;
-  cfg.pp = 4;
-  cfg.dp = 2;
-  cfg.gpus_per_machine = 2;
-  const auto topo = SharedTopology(cfg);
-  const auto a = SharedBackupPlan(*topo);
-  const auto b = SharedBackupPlan(*topo);
-  EXPECT_EQ(a.get(), b.get());
+// The plan is built on first use, and only then.
+TEST_F(CkptManagerTest, BackupPlanIsBuiltOnDemand) {
+  const BackupPlan& plan = mgr_.backup_plan();
+  EXPECT_EQ(&plan, &mgr_.backup_plan());
+  EXPECT_EQ(plan.assignments().size(), static_cast<std::size_t>(job_.topology().world_size()));
+  EXPECT_TRUE(plan.cross_group());
+}
 
-  const BackupPlan fresh(*topo);
-  ASSERT_EQ(a->assignments().size(), fresh.assignments().size());
-  for (std::size_t i = 0; i < fresh.assignments().size(); ++i) {
-    EXPECT_EQ(a->assignments()[i].target, fresh.assignments()[i].target);
+// FNV-1a over the little-endian bytes of every backup target, in rank order.
+std::uint64_t TargetDigest(const BackupPlan& plan) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const BackupAssignment& a : plan.assignments()) {
+    for (int b = 0; b < 4; ++b) {
+      hash ^= (static_cast<std::uint32_t>(a.target) >> (8 * b)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
   }
-  EXPECT_EQ(a->cross_group(), fresh.cross_group());
+  return hash;
+}
 
-  ParallelismConfig other = cfg;
-  other.dp = 4;
-  const auto c = SharedBackupPlan(*SharedTopology(other));
-  EXPECT_NE(a.get(), c.get());
+// The 9,600-rank production presets' targets, pinned to the digests of the
+// table-based topology the computed one replaced.
+TEST(BackupPlanTest, ProductionPresetTargetsArePinned) {
+  const Topology dense(ProductionDenseJob().parallelism);
+  const BackupPlan dense_plan(dense);
+  ASSERT_EQ(dense_plan.assignments().size(), 9600u);
+  EXPECT_EQ(TargetDigest(dense_plan), 0x8ad224a0937a52a5ULL);
+  EXPECT_EQ(dense_plan.TargetOf(0), 72);
+
+  const Topology moe(ProductionMoeJob().parallelism);
+  EXPECT_EQ(TargetDigest(BackupPlan(moe)), 0x44ab4385a516cb65ULL);
 }
 
 }  // namespace

@@ -1,19 +1,24 @@
 // Harness fault-tolerance suite: deterministic backoff jitter, the resumable
 // campaign journal's round-trip / truncation / corruption contracts, the seed
-// supervisor's watchdog + retry + quarantine state machine, and the
+// supervisor's watchdog + retry + quarantine state machine, the binary
+// fingerprint (computed only when a journal is created or resumed), and the
 // BYTEROBUST_HARNESS_FAULTS self-fault-injection grammar.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/campaign/scenarios.h"
 #include "src/harness/backoff.h"
+#include "src/harness/exit_codes.h"
 #include "src/harness/journal.h"
 #include "src/harness/supervisor.h"
 #include "src/harness/wallclock.h"
@@ -288,6 +293,104 @@ TEST_F(JournalTest, IdentityAndFingerprintMismatchRejectResume) {
   other.fingerprint = "unknown";
   EXPECT_TRUE(resumed.OpenForResume(path_, other, &completed, &error)) << error;
   resumed.Close();
+}
+
+// A campaign identity leaves the fingerprint empty; creating or resuming a
+// journal fills in this binary's, so a journal from another build is refused.
+TEST_F(JournalTest, EmptyFingerprintMeansThisBinary) {
+  CampaignIdentity foreign = Identity();
+  CampaignJournal journal;
+  std::string error;
+  ASSERT_TRUE(journal.Create(path_, foreign, &error)) << error;
+  journal.Close();
+  CampaignIdentity here = Identity();
+  here.fingerprint.clear();
+  CampaignJournal resumed;
+  std::map<int, JournalEntry> completed;
+  EXPECT_FALSE(resumed.OpenForResume(path_, here, &completed, &error));
+  EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+
+  ASSERT_TRUE(journal.Create(path_, here, &error)) << error;
+  journal.Close();
+  CampaignIdentity loaded;
+  long valid_end = 0;
+  ASSERT_TRUE(CampaignJournal::Load(path_, &loaded, &completed, &valid_end, &error)) << error;
+  EXPECT_EQ(loaded.fingerprint, BinaryFingerprint());
+  EXPECT_EQ(loaded.fingerprint.rfind("fnv1a64x4:", 0), 0u) << loaded.fingerprint;
+  EXPECT_TRUE(resumed.OpenForResume(path_, here, &completed, &error)) << error;
+  resumed.Close();
+}
+
+// Bytes this process has read through read(2) and friends ("rchar" in
+// /proc/self/io); -1 where the kernel does not expose it.
+long long BytesReadByProcess() {
+  std::FILE* f = std::fopen("/proc/self/io", "r");
+  if (f == nullptr) {
+    return -1;
+  }
+  long long rchar = -1;
+  if (std::fscanf(f, "rchar: %lld", &rchar) != 1) {
+    rchar = -1;
+  }
+  std::fclose(f);
+  return rchar;
+}
+
+// Builds and runs a 2-seed quickstart campaign, journaled when
+// `journal_path` is set, capturing its document; returns the bytes the
+// process read meanwhile, or -1 on failure.
+long long BytesReadByCampaign(const std::string& journal_path,
+                              CampaignIdentity* identity = nullptr) {
+  CampaignRequest req;
+  req.command = "campaign";
+  req.scenario = "quickstart";
+  req.seeds = 2;
+  req.days = 0.05;
+  req.journal_path = journal_path;
+  CampaignEngineSpec spec;
+  std::string error;
+  if (!BuildCampaignEngineSpec(req, &spec, &error)) {
+    return -1;
+  }
+  if (identity != nullptr) {
+    *identity = spec.identity;
+  }
+  std::string document;
+  spec.capture = &document;
+  const long long before = BytesReadByProcess();
+  if (RunCampaignEngine(spec) != kExitOk) {
+    return -1;
+  }
+  return BytesReadByProcess() - before;
+}
+
+// Hashing the executable reads all of it, so a campaign that reads fewer
+// bytes than the image holds never fingerprinted it. The fingerprint is
+// computed once per process, so the check runs in a fresh one (the
+// threadsafe death-test style re-executes this binary for the child), where
+// the journaled campaign afterwards proves the measurement sees the hash.
+TEST(BinaryFingerprintTest, OnlyAJournaledCampaignReadsTheExecutable) {
+  struct stat exe;
+  ASSERT_EQ(stat("/proc/self/exe", &exe), 0);
+  if (BytesReadByProcess() < 0) {
+    GTEST_SKIP() << "/proc/self/io is not available";
+  }
+  CampaignIdentity identity;
+  ASSERT_GE(BytesReadByCampaign("", &identity), 0);
+  EXPECT_TRUE(identity.fingerprint.empty());
+
+  const std::string journal = ::testing::TempDir() + "/harness_fingerprint.journal";
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const long long plain = BytesReadByCampaign("");
+        const long long journaled = BytesReadByCampaign(journal);
+        std::fprintf(stderr, "read %lld bytes without a journal, %lld with one, image %lld\n",
+                     plain, journaled, static_cast<long long>(exe.st_size));
+        std::exit(plain >= 0 && plain < exe.st_size && journaled >= exe.st_size ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  std::remove(journal.c_str());
 }
 
 // --------------------------------------------------------------------------

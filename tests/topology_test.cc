@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/topology/parallelism.h"
@@ -210,89 +213,183 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TopoCase{2, 4, 4, 2}, TopoCase{2, 4, 2, 2}, TopoCase{8, 8, 4, 16},
                       TopoCase{4, 2, 8, 8}, TopoCase{1, 4, 4, 4}, TopoCase{2, 1, 8, 4},
                       TopoCase{8, 1, 1, 8}, TopoCase{1, 1, 16, 8}, TopoCase{8, 16, 4, 16},
+                      // gpus_per_machine not dividing tp, and tp > gpus_per_machine.
+                      TopoCase{3, 2, 2, 4}, TopoCase{6, 2, 3, 4}, TopoCase{8, 3, 2, 2},
+                      TopoCase{4, 1, 3, 3},
                       // The Sec. 8.1 production shapes: 9,600-GPU dense and MoE.
                       TopoCase{8, 8, 150, 8}, TopoCase{8, 10, 120, 8}));
 
-// The constructor-time lookup tables must answer exactly what the closed-form
-// expressions answered before the precomputation refactor.
-TEST_P(TopologyProperty, TableLookupsMatchFormulas) {
-  Topology topo = MakeTopo();
-  const auto& cfg = topo.config();
-  for (Rank r = 0; r < topo.world_size(); ++r) {
-    const RankCoord c = topo.CoordOf(r);
-    EXPECT_EQ(c.tp, r % cfg.tp);
-    EXPECT_EQ(c.pp, (r / cfg.tp) % cfg.pp);
-    EXPECT_EQ(c.dp, r / (cfg.tp * cfg.pp));
-    EXPECT_EQ(topo.MachineOfRank(r), r / cfg.gpus_per_machine);
-
-    std::vector<Rank> want_pp;
-    for (int p = 0; p < cfg.pp; ++p) {
-      want_pp.push_back(topo.RankOf({c.tp, p, c.dp}));
+// Random valid configs (fixed seed) over small degrees and machine sizes.
+std::vector<TopoCase> RandomCases() {
+  Rng rng(0x70901067);
+  std::vector<TopoCase> cases;
+  const int gpms[] = {1, 2, 3, 4, 6, 8, 16};
+  while (cases.size() < 24) {
+    const TopoCase c{static_cast<int>(rng.UniformInt(1, 8)), static_cast<int>(rng.UniformInt(1, 6)),
+                     static_cast<int>(rng.UniformInt(1, 8)), gpms[rng.UniformInt(0, 6)]};
+    if ((c.tp * c.pp * c.dp) % c.gpm == 0) {
+      cases.push_back(c);
     }
-    EXPECT_EQ(topo.PipelineGroupOf(r), want_pp);
-    std::vector<Rank> want_dp;
+  }
+  return cases;
+}
+INSTANTIATE_TEST_SUITE_P(Random, TopologyProperty, ::testing::ValuesIn(RandomCases()));
+
+constexpr GroupKind kKinds[] = {GroupKind::kTensor, GroupKind::kPipeline, GroupKind::kData};
+
+// The oracle: the rank grid enumerated coordinate by coordinate (TP
+// innermost, then PP, then DP), ranks dealt out to machines gpus_per_machine
+// at a time, and every group found as the set of ranks agreeing on the other
+// two coordinates, numbered in order of its lowest rank.
+struct RankTable {
+  std::vector<RankCoord> coord;                            // rank -> coordinate
+  std::vector<MachineId> machine;                          // rank -> machine
+  std::vector<std::vector<std::vector<Rank>>> groups;      // kind -> index -> ranks
+  std::vector<std::vector<int>> index_of;                  // kind -> rank -> index
+
+  explicit RankTable(const ParallelismConfig& cfg) : groups(3), index_of(3) {
     for (int d = 0; d < cfg.dp; ++d) {
-      want_dp.push_back(topo.RankOf({c.tp, c.pp, d}));
-    }
-    EXPECT_EQ(topo.DataGroupOf(r), want_dp);
-    std::vector<Rank> want_tp;
-    for (int t = 0; t < cfg.tp; ++t) {
-      want_tp.push_back(topo.RankOf({t, c.pp, c.dp}));
-    }
-    EXPECT_EQ(topo.TensorGroupOf(r), want_tp);
-  }
-}
-
-// The precomputed machine lists and bitmasks must agree with a direct
-// recomputation from group membership.
-TEST_P(TopologyProperty, GroupMachineTablesMatchDirectComputation) {
-  Topology topo = MakeTopo();
-  for (GroupKind kind : {GroupKind::kTensor, GroupKind::kPipeline, GroupKind::kData}) {
-    for (const ParallelGroup& g : topo.AllGroups(kind)) {
-      std::set<MachineId> want;
-      for (Rank r : g.ranks) {
-        want.insert(topo.MachineOfRank(r));
-      }
-      const std::vector<MachineId> expect(want.begin(), want.end());
-      EXPECT_EQ(topo.MachinesOfGroup(g), expect);
-      EXPECT_EQ(topo.GroupMachines(kind, g.index), expect);
-      const MachineSet& mask = topo.GroupMachineSet(kind, g.index);
-      EXPECT_EQ(mask.Count(), static_cast<int>(want.size()));
-      for (MachineId m = 0; m < topo.num_machines(); ++m) {
-        EXPECT_EQ(mask.Contains(m), want.count(m) > 0);
+      for (int p = 0; p < cfg.pp; ++p) {
+        for (int t = 0; t < cfg.tp; ++t) {
+          coord.push_back({t, p, d});
+        }
       }
     }
+    for (MachineId m = 0; static_cast<int>(machine.size()) < cfg.world_size(); ++m) {
+      machine.insert(machine.end(), static_cast<std::size_t>(cfg.gpus_per_machine), m);
+    }
+    for (std::size_t k = 0; k < 3; ++k) {
+      std::map<std::pair<int, int>, std::vector<Rank>> by_key;  // other two coords
+      for (Rank r = 0; r < static_cast<Rank>(coord.size()); ++r) {
+        const RankCoord& c = coord[static_cast<std::size_t>(r)];
+        const std::pair<int, int> key = k == 0 ? std::pair{c.pp, c.dp}
+                                        : k == 1 ? std::pair{c.tp, c.dp}
+                                                 : std::pair{c.tp, c.pp};
+        by_key[key].push_back(r);
+      }
+      for (auto& [key, ranks] : by_key) {
+        groups[k].push_back(ranks);
+      }
+      std::sort(groups[k].begin(), groups[k].end());  // by lowest rank
+      index_of[k].resize(coord.size());
+      for (std::size_t i = 0; i < groups[k].size(); ++i) {
+        for (Rank r : groups[k][i]) {
+          index_of[k][static_cast<std::size_t>(r)] = static_cast<int>(i);
+        }
+      }
+    }
   }
-}
 
-// Brute force over every group: the first kind (PP, DP, TP) with a group
-// covering all targets wins; within it, fewest machines, then lowest index.
-bool BruteForceCoveringGroup(const Topology& topo, const std::vector<MachineId>& targets,
-                             ParallelGroup* out) {
-  if (targets.empty()) {
+  std::vector<MachineId> MachinesOf(const std::vector<Rank>& ranks) const {
+    std::set<MachineId> machines;
+    for (Rank r : ranks) {
+      machines.insert(machine[static_cast<std::size_t>(r)]);
+    }
+    return {machines.begin(), machines.end()};
+  }
+
+  bool SharesAnyGroup(Rank a, Rank b) const {
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (index_of[k][static_cast<std::size_t>(a)] == index_of[k][static_cast<std::size_t>(b)]) {
+        return true;
+      }
+    }
     return false;
   }
-  for (GroupKind kind : {GroupKind::kPipeline, GroupKind::kData, GroupKind::kTensor}) {
-    const ParallelGroup* best = nullptr;
-    for (const ParallelGroup& g : topo.AllGroups(kind)) {
-      const std::vector<MachineId> machines = topo.MachinesOfGroup(g);
-      const bool covers = std::all_of(targets.begin(), targets.end(), [&](MachineId m) {
-        return std::find(machines.begin(), machines.end(), m) != machines.end();
-      });
-      if (covers && (best == nullptr || machines.size() < topo.MachinesOfGroup(*best).size())) {
-        best = &g;
+
+  // The first kind (PP, DP, TP) with a group covering all targets wins;
+  // within it, fewest machines, then lowest index.
+  bool CoveringGroup(const std::vector<MachineId>& targets, int num_machines, GroupKind* kind,
+                     int* index) const {
+    if (targets.empty() ||
+        std::any_of(targets.begin(), targets.end(),
+                    [&](MachineId m) { return m < 0 || m >= num_machines; })) {
+      return false;
+    }
+    for (GroupKind k : {GroupKind::kPipeline, GroupKind::kData, GroupKind::kTensor}) {
+      const auto& kind_groups = groups[static_cast<std::size_t>(k)];
+      int best = -1;
+      std::size_t best_size = 0;
+      for (std::size_t i = 0; i < kind_groups.size(); ++i) {
+        const std::vector<MachineId> machines = MachinesOf(kind_groups[i]);
+        const bool covers = std::all_of(targets.begin(), targets.end(), [&](MachineId m) {
+          return std::binary_search(machines.begin(), machines.end(), m);
+        });
+        if (covers && (best < 0 || machines.size() < best_size)) {
+          best = static_cast<int>(i);
+          best_size = machines.size();
+        }
+      }
+      if (best >= 0) {
+        *kind = k;
+        *index = best;
+        return true;
       }
     }
-    if (best != nullptr) {
-      *out = *best;
-      return true;
+    return false;
+  }
+};
+
+TEST_P(TopologyProperty, RankQueriesMatchBruteForceTable) {
+  Topology topo = MakeTopo();
+  const RankTable table(topo.config());
+  ASSERT_EQ(static_cast<int>(table.coord.size()), topo.world_size());
+  ASSERT_EQ(table.machine.back() + 1, topo.num_machines());
+  for (Rank r = 0; r < topo.world_size(); ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    EXPECT_EQ(topo.CoordOf(r), table.coord[ri]) << "rank " << r;
+    EXPECT_EQ(topo.RankOf(table.coord[ri]), r);
+    EXPECT_EQ(topo.MachineOfRank(r), table.machine[ri]);
+    for (GroupKind kind : kKinds) {
+      const auto k = static_cast<std::size_t>(kind);
+      EXPECT_EQ(topo.GroupIndexOf(r, kind), table.index_of[k][ri]);
+      EXPECT_EQ(topo.GroupOf(r, kind), table.groups[k][static_cast<std::size_t>(table.index_of[k][ri])]);
     }
   }
-  return false;
 }
 
-TEST_P(TopologyProperty, FindCoveringGroupMatchesBruteForce) {
+TEST_P(TopologyProperty, GroupFootprintsMatchBruteForceTable) {
   Topology topo = MakeTopo();
+  const RankTable table(topo.config());
+  for (GroupKind kind : kKinds) {
+    const auto& kind_groups = table.groups[static_cast<std::size_t>(kind)];
+    ASSERT_EQ(topo.NumGroups(kind), static_cast<int>(kind_groups.size()));
+    for (int i = 0; i < topo.NumGroups(kind); ++i) {
+      const std::vector<Rank>& ranks = kind_groups[static_cast<std::size_t>(i)];
+      const std::vector<MachineId> want = table.MachinesOf(ranks);
+      const ParallelGroup group = topo.Group(kind, i);
+      EXPECT_EQ(group.ranks, ranks);
+      EXPECT_EQ(topo.MachinesOfGroup(group), want);
+      EXPECT_EQ(topo.GroupMachines(kind, i), want);
+      EXPECT_EQ(topo.GroupMachineCount(kind, i), static_cast<int>(want.size()));
+      for (MachineId m = -1; m <= topo.num_machines(); ++m) {
+        EXPECT_EQ(topo.GroupHostsMachine(kind, i, m),
+                  std::binary_search(want.begin(), want.end(), m))
+            << GroupKindName(kind) << " group " << i << " machine " << m;
+      }
+    }
+    EXPECT_THROW(topo.Group(kind, topo.NumGroups(kind)), std::out_of_range);
+  }
+}
+
+TEST_P(TopologyProperty, SharesAnyGroupMatchesBruteForceTable) {
+  Topology topo = MakeTopo();
+  const RankTable table(topo.config());
+  Rng rng(static_cast<std::uint64_t>(topo.world_size()));
+  const bool exhaustive = topo.world_size() <= 256;
+  const int pairs = exhaustive ? topo.world_size() * topo.world_size() : 20000;
+  for (int i = 0; i < pairs; ++i) {
+    const Rank a = exhaustive ? i / topo.world_size()
+                              : static_cast<Rank>(rng.UniformInt(0, topo.world_size() - 1));
+    const Rank b = exhaustive ? i % topo.world_size()
+                              : static_cast<Rank>(rng.UniformInt(0, topo.world_size() - 1));
+    EXPECT_EQ(topo.SharesAnyGroup(a, b), table.SharesAnyGroup(a, b)) << a << " vs " << b;
+  }
+}
+
+TEST_P(TopologyProperty, FindCoveringGroupMatchesBruteForceTable) {
+  Topology topo = MakeTopo();
+  const RankTable table(topo.config());
   Rng rng(static_cast<std::uint64_t>(topo.world_size()));
   const auto random_machine = [&] {
     return static_cast<MachineId>(rng.UniformInt(0, topo.num_machines() - 1));
@@ -302,9 +399,10 @@ TEST_P(TopologyProperty, FindCoveringGroupMatchesBruteForce) {
     const int n = static_cast<int>(rng.UniformInt(1, 4));
     if (trial % 2 == 0) {
       // Machines drawn from one random group: some group always covers them.
-      const GroupKind kind = static_cast<GroupKind>(rng.UniformInt(0, 2));
-      const int index = static_cast<int>(rng.UniformInt(0, topo.NumGroups(kind) - 1));
-      const std::vector<MachineId>& machines = topo.GroupMachines(kind, index);
+      const auto& kind_groups = table.groups[static_cast<std::size_t>(rng.UniformInt(0, 2))];
+      const std::vector<MachineId> machines = table.MachinesOf(
+          kind_groups[static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(kind_groups.size()) - 1))]);
       for (int i = 0; i < n; ++i) {
         targets.push_back(machines[static_cast<std::size_t>(
             rng.UniformInt(0, static_cast<std::int64_t>(machines.size()) - 1))]);
@@ -317,14 +415,17 @@ TEST_P(TopologyProperty, FindCoveringGroupMatchesBruteForce) {
     if (trial % 25 == 1) {
       targets.push_back(rng.Bernoulli(0.5) ? -1 : topo.num_machines());  // foreign
     }
-    ParallelGroup want{GroupKind::kTensor, -1, {}};
+    GroupKind want_kind = GroupKind::kTensor;
+    int want_index = -1;
     ParallelGroup got{GroupKind::kTensor, -1, {}};
-    const bool found = BruteForceCoveringGroup(topo, targets, &want);
+    const bool found = table.CoveringGroup(targets, topo.num_machines(), &want_kind, &want_index);
     ASSERT_EQ(topo.FindCoveringGroup(targets, &got), found) << "trial " << trial;
     if (found) {
-      EXPECT_EQ(got.kind, want.kind) << "trial " << trial;
-      EXPECT_EQ(got.index, want.index) << "trial " << trial;
-      EXPECT_EQ(got.ranks, want.ranks) << "trial " << trial;
+      EXPECT_EQ(got.kind, want_kind) << "trial " << trial;
+      EXPECT_EQ(got.index, want_index) << "trial " << trial;
+      EXPECT_EQ(got.ranks, table.groups[static_cast<std::size_t>(want_kind)]
+                               [static_cast<std::size_t>(want_index)])
+          << "trial " << trial;
     }
   }
 }
@@ -332,38 +433,12 @@ TEST_P(TopologyProperty, FindCoveringGroupMatchesBruteForce) {
 TEST(TopologyTest, MachinesOfGroupHandlesForeignGroups) {
   Topology topo(Fig7Config());
   // A hand-built group (index does not correspond to its ranks) still gets a
-  // correct, deduplicated, sorted machine list via the fallback path.
+  // correct, deduplicated, sorted machine list.
   ParallelGroup custom;
   custom.kind = GroupKind::kPipeline;
   custom.index = 0;
   custom.ranks = {31, 0, 1, 30};
   EXPECT_EQ(topo.MachinesOfGroup(custom), (std::vector<MachineId>{0, 15}));
-}
-
-// Frozen campaign template: equal configs share one immutable instance;
-// distinct configs get distinct instances with the right tables.
-TEST(TopologyTest, SharedTopologyCachesPerConfig) {
-  ParallelismConfig cfg;
-  cfg.tp = 2;
-  cfg.pp = 4;
-  cfg.dp = 4;
-  cfg.gpus_per_machine = 2;
-  const auto a = SharedTopology(cfg);
-  const auto b = SharedTopology(cfg);
-  EXPECT_EQ(a.get(), b.get());  // one frozen instance per config
-
-  ParallelismConfig other = cfg;
-  other.dp = 8;
-  const auto c = SharedTopology(other);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(c->world_size(), 64);
-
-  // The shared instance answers exactly like a freshly built topology.
-  const Topology fresh(cfg);
-  for (Rank r = 0; r < fresh.world_size(); ++r) {
-    EXPECT_EQ(a->MachineOfRank(r), fresh.MachineOfRank(r));
-    EXPECT_TRUE(a->CoordOf(r) == fresh.CoordOf(r));
-  }
 }
 
 }  // namespace
